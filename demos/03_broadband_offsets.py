@@ -9,6 +9,7 @@ of the DANTE train toward the continuous weak pulse.
 import numpy as np
 
 from trispin import (
+    BroadbandScheme,
     IDEAL,
     broadband_geodesic,
     build_uzzz,
@@ -30,7 +31,7 @@ def fid(p, s, settings):
 
 
 plain = build_uzzz("D", 1.0, J)
-robust = broadband_geodesic(1.0, J, n=64)
+robust = broadband_geodesic(1.0, J, BroadbandScheme(n=64))
 
 print("Fidelity vs spin-2 channel offset (Hz):")
 print(f"{'offset':>8}{'plain D':>12}{'broadband D':>14}")

@@ -16,20 +16,27 @@ continuous pulse as the segment count grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation
-from .sequences import build_uzzz, build_swap13
+from .sequences import build_uzzz, compose_swap13
 
 TWO_PI = 2.0 * math.pi
 _X = 0.0
-_Y = math.pi / 2
 _MX = math.pi
+
+
+def _check_segments(n: int):
+    if n < 4 or n % 4 != 0:
+        raise ValueError(f"DANTE segment count must be a positive multiple of 4, got {n}")
 
 
 @dataclass(frozen=True)
 class BroadbandScheme:
     """Refocusing phase cycle, DANTE segment count (n = 4m), pi placement.
+
+    n is the one place a DANTE segment count is set; None picks
+    default_dante_n for the program's kappa.
 
     sparse_pi selects the experiment-friendly geodesic layout with a single
     refocusing pi group per DANTE segment instead of one per half-delay;
@@ -50,8 +57,8 @@ class BroadbandScheme:
             if min(abs(math.fmod(phi, TWO_PI)), abs(abs(math.fmod(phi, TWO_PI)) - math.pi),
                    abs(abs(math.fmod(phi, TWO_PI)) - TWO_PI)) > 1e-12:
                 raise ValueError("refocusing phases must be x or -x")
-        if self.n is not None and (self.n < 4 or self.n % 4 != 0):
-            raise ValueError("DANTE segment count must be a positive multiple of 4")
+        if self.n is not None:
+            _check_segments(self.n)
 
 
 DEFAULT_SCHEME = BroadbandScheme()
@@ -83,9 +90,8 @@ def refocus_offsets(p: PulseProgram, scheme: BroadbandScheme = DEFAULT_SCHEME) -
                 "DANTE-discretize it first"
             )
         if isinstance(ev, Delay):
-            events.append(Delay(ev.duration / 2))
-            events.append(next_pi())
-            events.append(Delay(ev.duration / 2))
+            half = Delay(ev.duration / 2)
+            events.extend((half, next_pi(), half))
         elif isinstance(ev, HardPulse):
             phase = (-ev.phase) % TWO_PI if inverted else ev.phase
             events.append(HardPulse(ev.targets, ev.flip, phase))
@@ -100,14 +106,15 @@ def refocus_offsets(p: PulseProgram, scheme: BroadbandScheme = DEFAULT_SCHEME) -
     return PulseProgram(tuple(events), label=f"{p.label}-bb", kappa=p.kappa, meta=meta)
 
 
-def dante_discretize(p: PulseProgram, n: int) -> PulseProgram:
-    """Replace the geodesic weak pulse by n hard sub-pulses and n sub-delays.
+def _dante_train(p: PulseProgram, n: int, pi_phases: tuple = ()) -> tuple:
+    """p's events with its one weak pulse replaced by an n-segment DANTE train.
 
-    Each segment is delay/2 - sub-pulse - delay/2, so the train is a midpoint
-    discretization of the simultaneous rf + coupling evolution.
+    Each segment is delay/2 - sub-pulse - delay/2, a midpoint discretization
+    of the simultaneous rf + coupling evolution. With pi_phases, a
+    refocusing pi(1,2,3) group cycling through those phases precedes each
+    sub-pulse, whose phase is invariant under the frame toggles.
     """
-    if n < 4 or n % 4 != 0:
-        raise ValueError(f"segment count must be a positive multiple of 4, got {n}")
+    _check_segments(n)
     weak = [ev for ev in p.events if isinstance(ev, WeakPulse)]
     if len(weak) != 1:
         raise ValueError(f"expected exactly one weak pulse, found {len(weak)}")
@@ -115,81 +122,59 @@ def dante_discretize(p: PulseProgram, n: int) -> PulseProgram:
     flip_total = TWO_PI * wp.amplitude * wp.duration
     sub_delay = Delay(wp.duration / (2 * n))
     sub_pulse = HardPulse(wp.targets, flip_total / n, wp.phase)
-    events = []
-    for ev in p.events:
-        if ev is wp:
-            for _ in range(n):
-                events.extend((sub_delay, sub_pulse, sub_delay))
-        else:
-            events.append(ev)
+    train = []
+    for i in range(n):
+        train.append(sub_delay)
+        if pi_phases:
+            train.append(HardPulse(frozenset({1, 2, 3}), math.pi, pi_phases[i % len(pi_phases)]))
+        train.extend((sub_pulse, sub_delay))
+    # with pi groups, the V_D / W rotations around the train sit where the
+    # toggling frame is even (n is a multiple of 4), so they pass unchanged
+    at = p.events.index(wp)
+    return p.events[:at] + tuple(train) + p.events[at + 1:]
+
+
+def dante_discretize(p: PulseProgram, n: int) -> PulseProgram:
+    """Replace the geodesic weak pulse by n hard sub-pulses and n sub-delays."""
     meta = p.meta + (("transform", f"dante-n{n}"),)
-    return PulseProgram(tuple(events), label=f"{p.label}-dante", kappa=p.kappa, meta=meta)
+    return PulseProgram(_dante_train(p, n), label=f"{p.label}-dante", kappa=p.kappa, meta=meta)
 
 
 def broadband_geodesic(kappa: float, j: float,
-                       scheme: BroadbandScheme = DEFAULT_SCHEME,
-                       n: int | None = None) -> PulseProgram:
+                       scheme: BroadbandScheme = DEFAULT_SCHEME) -> PulseProgram:
     """Broadband version of the time-optimal sequence: DANTE plus refocusing.
 
-    The weak pulse is discretized into n segments with pi pulses inserted
-    inside every sub-delay. The default placement splits each half-delay
-    around its own pi group (tight offset refocusing); with
+    The weak pulse is discretized into scheme.n segments with pi pulses
+    inserted inside every sub-delay. The default placement splits each
+    half-delay around its own pi group (tight offset refocusing); with
     scheme.sparse_pi a single pi group per segment sits immediately before
-    the sub-pulse (whose -x phase is invariant under the frame toggles):
+    the sub-pulse:
 
         [ delay/2 - pi(1,2,3) - sub-pulse - delay/2 ] x n
     """
     p = build_uzzz("D", kappa, j)
     if not any(isinstance(ev, WeakPulse) for ev in p.events):
         return refocus_offsets(p, scheme)  # kappa = 0: nothing to discretize
-    if n is None:
-        n = scheme.n if scheme.n is not None else default_dante_n(kappa, j)
+    n = scheme.n if scheme.n is not None else default_dante_n(kappa, j)
     if not scheme.sparse_pi:
         return refocus_offsets(dante_discretize(p, n), scheme)
-    if n < 4 or n % 4 != 0:
-        raise ValueError(f"segment count must be a positive multiple of 4, got {n}")
-    events = []
-    cycle_i = 0
-    for ev in p.events:
-        if not isinstance(ev, WeakPulse):
-            # V_D / W rotations sit outside the train, where the toggling
-            # frame is even (n is a multiple of 4), so they pass unchanged
-            events.append(ev)
-            continue
-        flip_total = TWO_PI * ev.amplitude * ev.duration
-        half = Delay(ev.duration / (2 * n))
-        sub = HardPulse(ev.targets, flip_total / n, ev.phase)
-        for _ in range(n):
-            phase = scheme.cycle[cycle_i % len(scheme.cycle)]
-            cycle_i += 1
-            events.extend((half, HardPulse(frozenset({1, 2, 3}), math.pi, phase), sub, half))
     meta = p.meta + (("transform", f"broadband-geodesic-n{n}"),)
-    return PulseProgram(tuple(events), label=f"{p.label}-bb", kappa=p.kappa, meta=meta)
+    return PulseProgram(_dante_train(p, n, scheme.cycle), label=f"{p.label}-bb",
+                        kappa=p.kappa, meta=meta)
 
 
-def _broadband_uzzz(v: str, kappa: float, j: float, scheme: BroadbandScheme,
-                    n: int | None) -> PulseProgram:
+def broadband_uzzz(v: str, kappa: float, j: float,
+                   scheme: BroadbandScheme = DEFAULT_SCHEME) -> PulseProgram:
+    """Offset-refocused U_zzz block of variant v (D: broadband_geodesic)."""
     if v == "D":
-        return broadband_geodesic(kappa, j, scheme, n)
+        return broadband_geodesic(kappa, j, scheme)
     return refocus_offsets(build_uzzz(v, kappa, j), scheme)
 
 
 def build_swap13_broadband(v: str, kappa: float, j: float,
-                           scheme: BroadbandScheme = DEFAULT_SCHEME,
-                           n: int | None = None) -> PulseProgram:
+                           scheme: BroadbandScheme = DEFAULT_SCHEME) -> PulseProgram:
     """SWAP(1,3) composition with each trilinear block offset-refocused."""
-    core = lambda: _broadband_uzzz(v, kappa, j, scheme, n).events
-    events = (
-        ZRotation(2, -math.pi / 2),
-        HardPulse(frozenset({1, 3}), -math.pi / 2, _Y),
-        *core(),
-        HardPulse(frozenset({1, 3}), math.pi / 2, _Y),
-        HardPulse(frozenset({1, 3}), math.pi / 2, _X),
-        *core(),
-        HardPulse(frozenset({1, 3}), -math.pi / 2, _X),
-        *core(),
-    )
-    return PulseProgram(events, label=f"swap13-{v}-bb", kappa=kappa)
+    return compose_swap13(broadband_uzzz(v, kappa, j, scheme).events, f"swap13-{v}-bb", kappa)
 
 
 def emulate_selective_pulse(target: int, flip_deg: float, phase: float,
@@ -221,11 +206,10 @@ def emulate_selective_pulse(target: int, flip_deg: float, phase: float,
         Delay(delta),
         HardPulse(frozenset({2}), math.pi, _X),
         HardPulse(frozenset({1, 3}), math.pi / 2, last_phase),
+        # cancel the spectator precession (target 1) or fold the residual
+        # phase on spin 3 (target 3): the same pi z-rotation either way
+        ZRotation(3, -math.pi),
     ]
-    if target == 1:
-        events.append(ZRotation(3, -math.pi))  # cancel the spectator precession
-    else:
-        events.append(ZRotation(3, -math.pi))  # fold the residual phase on spin 3
     return PulseProgram(tuple(events), label=f"sel180-spin{target}")
 
 
@@ -243,19 +227,13 @@ def eliminate_z_rotations(p: PulseProgram) -> PulseProgram:
     for ev in p.events:
         if isinstance(ev, ZRotation):
             acc[ev.target] += ev.angle
-        elif isinstance(ev, HardPulse):
+        elif isinstance(ev, (HardPulse, WeakPulse)):
             groups: dict[float, set] = {}
             for k in sorted(ev.targets):
                 groups.setdefault(acc[k], set()).add(k)
             for phi, spins in sorted(groups.items()):
-                events.append(HardPulse(frozenset(spins), ev.flip, (ev.phase - phi) % TWO_PI))
-        elif isinstance(ev, WeakPulse):
-            groups = {}
-            for k in sorted(ev.targets):
-                groups.setdefault(acc[k], set()).add(k)
-            for phi, spins in sorted(groups.items()):
-                events.append(WeakPulse(frozenset(spins), ev.amplitude, ev.duration,
-                                        (ev.phase - phi) % TWO_PI))
+                events.append(replace(ev, targets=frozenset(spins),
+                                      phase=(ev.phase - phi) % TWO_PI))
         else:
             events.append(ev)
     meta = tuple((f"receiver-phase-spin{k}", repr(acc[k])) for k in (1, 2, 3) if acc[k] != 0.0)

@@ -13,9 +13,9 @@ import sys
 import numpy as np
 
 from . import broadband, metrics, sequences
-from .engine import IDEAL, SimulationSettings, propagator_of
+from .engine import DEFAULT_RF_AMPLITUDES, SimulationSettings, propagator_of
 from .pulseprog import parse_program, serialize_program
-from .spinsys import SpinSystem, ideal_chain, target_trilinear, swap13_target, spin_operator
+from .spinsys import SpinSystem, acetamide, ideal_chain, target_trilinear, swap13_target, spin_operator
 from .linalg import expm_generator
 
 USAGE_ERROR = 2
@@ -29,17 +29,15 @@ def _parse_range(text: str):
     """kappa range 'start:stop[:step]' -> list of grid values."""
     parts = text.split(":")
     try:
-        if len(parts) == 2:
-            start, stop = float(parts[0]), float(parts[1])
-            step = 0.1
-        elif len(parts) == 3:
-            start, stop = float(parts[0]), float(parts[1])
-            step = float(parts[2])
-        else:
+        if len(parts) not in (2, 3):
+            raise ValueError
+        start, stop = float(parts[0]), float(parts[1])
+        step = float(parts[2]) if len(parts) == 3 else 0.1
+        if not (all(map(math.isfinite, (start, stop, step))) and step > 0):
             raise ValueError
     except ValueError:
-        raise SystemExit(USAGE_ERROR)
-    if step <= 0:
+        print(f"bad kappa range {text!r}: expected finite start:stop[:step] with step > 0",
+              file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
     if stop < start:
         return []  # empty range: commands emit a header-only CSV
@@ -49,12 +47,10 @@ def _parse_range(text: str):
 
 def _load_config(path: str | None) -> dict:
     """Flat key=value config; defaults reproduce the acetamide system."""
-    cfg = {
-        "j12": 88.8, "j23": 87.3, "j13": 2.9,
-        "nu1": 0.0, "nu2": 0.0, "nu3": 358.0,
-        "rf_proton": 35700.0, "rf_hetero": 5500.0,
-        "rf_fwhm": 0.10, "rf_grid": 11,
-    }
+    ace = acetamide()
+    cfg = {name: getattr(ace, name) for name in ("j12", "j23", "j13", "nu1", "nu2", "nu3")}
+    cfg.update(rf_proton=DEFAULT_RF_AMPLITUDES["1H"], rf_hetero=DEFAULT_RF_AMPLITUDES["15N"],
+               rf_fwhm=0.10, rf_grid=11)
     if path is None:
         return cfg
     try:
@@ -80,9 +76,7 @@ def _load_config(path: str | None) -> dict:
 
 def cmd_table1(args) -> int:
     j = args.J
-    if j <= 0:
-        print("J must be positive", file=sys.stderr)
-        return USAGE_ERROR
+    book = sequences.swap_duration_bookkeeping(j)  # rejects J <= 0 before any output
     header = "variant,tau1_s,s1,tau_swap13_s"
     rows = []
     for v in sequences.VARIANTS:
@@ -93,7 +87,6 @@ def cmd_table1(args) -> int:
     print(f"{'tau(1)':>10}" + "".join(f"{1e3 * r[1]:>10.3f}ms" for r in rows))
     print(f"{'s(1)':>10}" + "".join(f"{r[2]:>12.3f}" for r in rows))
     print(f"{'SWAP(1,3)':>10}" + "".join(f"{1e3 * r[3]:>10.1f}ms" for r in rows))
-    book = sequences.swap_duration_bookkeeping(j)
     print(f"direct SWAP {1e3 * book['direct']:.1f}ms, conventional SWAP(1,3) "
           f"{1e3 * book['conventional13']:.1f}ms, optimal "
           f"{1e3 * book['optimal13']:.1f}ms "
@@ -121,9 +114,6 @@ def cmd_eta_sweep(args) -> int:
     if args.variant not in sequences.VARIANTS:
         print(f"unknown variant {args.variant!r}", file=sys.stderr)
         return USAGE_ERROR
-    if args.mode not in ("ideal", "realistic"):
-        print(f"unknown mode {args.mode!r}", file=sys.stderr)
-        return USAGE_ERROR
     cfg = _load_config(args.config)
     sys_ = SpinSystem(cfg["j12"], cfg["j23"], cfg["j13"],
                       cfg["nu1"], cfg["nu2"], cfg["nu3"])
@@ -134,10 +124,10 @@ def cmd_eta_sweep(args) -> int:
         rf_grid_points=int(cfg["rf_grid"]),
     )
     kappas = [k for k in _parse_range(args.kappa) if 0.0 <= k <= 2.0]
+    # the whole curve is computed before any output, so an error leaves
+    # stdout empty
+    curve = metrics.eta_curve(args.variant, kappas, sys_, settings) if kappas else []
     print("variant,kappa,tau_s,eta13")
-    if not kappas:
-        return 0
-    curve = metrics.eta_curve(args.variant, kappas, sys_, settings)
     for kappa, (tau, eta) in zip(kappas, curve):
         print(f"{args.variant},{_fmt(kappa)},{_fmt(tau)},{_fmt(eta)}")
     return 0
@@ -175,7 +165,7 @@ def _verify_broadband(j: float):
     for v in ("A", "C"):
         p = broadband.refocus_offsets(sequences.build_uzzz(v, 1.0, j))
         yield f"broadband {v} under offsets", 1.0 - metrics.fidelity(propagator_of(p, sys_), target), 1e-3
-    pg = broadband.broadband_geodesic(1.0, j, n=64)
+    pg = broadband.broadband_geodesic(1.0, j, broadband.BroadbandScheme(n=64))
     yield "broadband geodesic n=64 under offsets", 1.0 - metrics.fidelity(propagator_of(pg, sys_), target), 1e-3
     chain = ideal_chain(j)
     errs = []
@@ -196,7 +186,7 @@ def _verify_limits(j: float):
     yield "tau_D <= tau_A/B/C over 200 samples", max(worst, 0.0), 1e-12
     periodicity = 0.0
     for i in range(0, 65):
-        kappa = i / 64.0
+        kappa = i / 64.0  # dyadic: 2n +/- kappa is exact in binary floats
         base = sequences.theoretical_limit(kappa)
         for n in (1, 2):
             for k2 in (2 * n + kappa, 2 * n - kappa):
@@ -205,7 +195,8 @@ def _verify_limits(j: float):
     yield "periodicity tau*(2n +/- kappa)", periodicity, 0.0
 
 
-_SUITES = {
+# the acceptance tests run these same suites
+SUITES = {
     "identities": _verify_identities,
     "swap": _verify_swap,
     "broadband": _verify_broadband,
@@ -214,11 +205,11 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in _SUITES:
-        print(f"unknown suite {args.suite!r}; choose from {sorted(_SUITES)}", file=sys.stderr)
+    if args.suite not in SUITES:
+        print(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}", file=sys.stderr)
         return USAGE_ERROR
     failed = False
-    for name, value, tol in _SUITES[args.suite](args.J):
+    for name, value, tol in SUITES[args.suite](args.J):
         ok = value <= tol
         failed = failed or not ok
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {value:.3e} (tol {tol:.0e})")
@@ -226,17 +217,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    if args.variant not in sequences.VARIANTS:
-        print(f"unknown variant {args.variant!r}", file=sys.stderr)
-        return USAGE_ERROR
-    if not 0.0 <= args.kappa <= 2.0:
-        print(f"kappa out of range [0, 2]: {args.kappa}", file=sys.stderr)
-        return USAGE_ERROR
     if args.broadband:
-        if args.variant == "D":
-            p = broadband.broadband_geodesic(args.kappa, args.J, n=args.n)
-        else:
-            p = broadband.refocus_offsets(sequences.build_uzzz(args.variant, args.kappa, args.J))
+        p = broadband.broadband_uzzz(args.variant, args.kappa, args.J,
+                                     broadband.BroadbandScheme(n=args.n))
     else:
         p = sequences.build_uzzz(args.variant, args.kappa, args.J)
     text = serialize_program(p)

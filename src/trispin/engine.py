@@ -8,12 +8,12 @@ Gaussian-weighted grid of amplitude scale factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import expm_generator, hermiticity_defect
-from .pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation
+from .pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, hard_pulse_width
 from .spinsys import SpinSystem, free_hamiltonian, rf_hamiltonian, spin_operator
 
 TWO_PI = 2.0 * math.pi
@@ -82,22 +82,14 @@ def _hard_pulse_unitary(ev: HardPulse, sys: SpinSystem, settings: SimulationSett
                         h0: np.ndarray, rf_scale: float) -> np.ndarray:
     if settings.mode == "ideal":
         return expm_generator(rf_hamiltonian(ev.targets, 1.0 / TWO_PI, ev.phase), ev.flip)
-    # Finite pulse: duration set by the slowest channel's nominal amplitude;
-    # each channel's rf is stretched so its flip completes simultaneously.
-    # The inhomogeneity scale multiplies the delivered amplitude, not the
-    # programmed duration.
-    channels = sorted({sys.channel_of(k) for k in ev.targets})
-    widths = {ch: abs(ev.flip) / (TWO_PI * settings.amplitude_for(ch)) for ch in channels}
-    width = max(widths.values())
+    # Finite pulse of hard_pulse_width; every channel's rf is stretched so
+    # its flip completes within that width. The inhomogeneity scale
+    # multiplies the delivered amplitude, not the programmed duration.
+    width = hard_pulse_width(ev, sys, settings)
     if width == 0.0:
         return np.eye(8, dtype=complex)
-    h = h0.copy()
-    sign = 1.0 if ev.flip >= 0 else -1.0
-    for ch in channels:
-        spins = tuple(k for k in ev.targets if sys.channel_of(k) == ch)
-        amp = rf_scale * abs(ev.flip) / (TWO_PI * width)
-        h += sign * rf_hamiltonian(spins, amp, ev.phase)
-    return expm_generator(h, width)
+    amp = rf_scale * ev.flip / (TWO_PI * width)
+    return expm_generator(h0 + rf_hamiltonian(ev.targets, amp, ev.phase), width)
 
 
 def propagator_of(p: PulseProgram, sys: SpinSystem,

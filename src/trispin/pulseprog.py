@@ -20,9 +20,29 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
+
+
+def _validate_event(ev) -> None:
+    """Checks shared by every event type: known spins, finite numbers,
+    no negative amplitude or duration."""
+    # vars() rather than dataclasses.fields(): events are built one per
+    # pulse, and fields() would double the cost of building a program
+    for name, value in vars(ev).items():
+        if name == "targets":
+            if not value:
+                raise ValueError("pulse requires at least one target spin")
+            if not {1, 2, 3}.issuperset(value):
+                raise ValueError(f"unknown spin index in targets {sorted(value)}")
+        elif name == "target":
+            if value not in (1, 2, 3):
+                raise ValueError(f"unknown spin index {value}")
+        elif not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        elif value < 0 and name in ("amplitude", "duration"):
+            raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -33,13 +53,7 @@ class HardPulse:
     flip: float  # rad
     phase: float  # rad
 
-    def __post_init__(self):
-        if not self.targets:
-            raise ValueError("pulse requires at least one target spin")
-        if not all(k in (1, 2, 3) for k in self.targets):
-            raise ValueError(f"unknown spin index in targets {sorted(self.targets)}")
-        if not math.isfinite(self.flip):
-            raise ValueError("flip angle must be finite")
+    __post_init__ = _validate_event
 
 
 @dataclass(frozen=True)
@@ -51,24 +65,14 @@ class WeakPulse:
     duration: float  # s
     phase: float  # rad
 
-    def __post_init__(self):
-        if not self.targets:
-            raise ValueError("pulse requires at least one target spin")
-        if not all(k in (1, 2, 3) for k in self.targets):
-            raise ValueError(f"unknown spin index in targets {sorted(self.targets)}")
-        if self.amplitude < 0:
-            raise ValueError("weak-pulse amplitude must be >= 0")
-        if self.duration < 0:
-            raise ValueError("duration must be >= 0")
+    __post_init__ = _validate_event
 
 
 @dataclass(frozen=True)
 class Delay:
     duration: float  # s
 
-    def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("duration must be >= 0")
+    __post_init__ = _validate_event
 
 
 @dataclass(frozen=True)
@@ -78,11 +82,7 @@ class ZRotation:
     target: int
     angle: float  # rad
 
-    def __post_init__(self):
-        if self.target not in (1, 2, 3):
-            raise ValueError(f"unknown spin index {self.target}")
-        if not math.isfinite(self.angle):
-            raise ValueError("angle must be finite")
+    __post_init__ = _validate_event
 
 
 @dataclass(frozen=True)
@@ -104,12 +104,6 @@ class PulseProgram:
     def __add__(self, other: "PulseProgram") -> "PulseProgram":
         label = self.label if self.label == other.label else f"{self.label}+{other.label}"
         return PulseProgram(self.events + other.events, label=label)
-
-    def relabeled(self, label: str, kappa: float | None = None) -> "PulseProgram":
-        return replace(self, label=label, kappa=kappa if kappa is not None else self.kappa)
-
-    def meta_dict(self) -> dict:
-        return dict(self.meta)
 
 
 class ProgramSyntaxError(ValueError):
@@ -283,13 +277,27 @@ def serialize_program(p: PulseProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
+def hard_pulse_width(ev: HardPulse, sys, settings) -> float:
+    """Finite width (s) of a hard pulse: |flip| / (2 pi amplitude) per rf
+    channel it touches; a simultaneous multi-channel pulse is stretched to
+    its slowest channel. sys maps spins to channels (SpinSystem.channel_of),
+    settings gives each channel's amplitude (SimulationSettings.amplitude_for).
+    """
+    widths = []
+    for ch in {sys.channel_of(k) for k in ev.targets}:
+        amp = settings.amplitude_for(ch)
+        if amp <= 0:
+            raise ValueError(f"channel {ch!r} has no positive rf amplitude")
+        widths.append(abs(ev.flip) / (TWO_PI * amp))
+    return max(widths)
+
+
 def total_duration(p: PulseProgram, settings=None, sys=None) -> float:
     """Program duration in seconds.
 
     Ideal mode (settings None or settings.mode == 'ideal'): delays plus
     weak-pulse durations. Realistic mode: hard pulses additionally take
-    |flip| / (2 pi amplitude) per rf channel they touch; needs the spin
-    system for the spin -> channel map.
+    hard_pulse_width each; needs the spin system for the spin -> channel map.
     """
     realistic = settings is not None and getattr(settings, "mode", "ideal") == "realistic"
     total = p.nominal_duration
@@ -299,13 +307,5 @@ def total_duration(p: PulseProgram, settings=None, sys=None) -> float:
         raise ValueError("realistic-mode duration needs the spin system for channel lookup")
     for ev in p.events:
         if isinstance(ev, HardPulse):
-            channels = {sys.channel_of(k) for k in ev.targets}
-            widths = []
-            for ch in channels:
-                amp = settings.amplitude_for(ch)
-                if amp <= 0:
-                    raise ValueError(f"channel {ch!r} has no positive rf amplitude")
-                widths.append(abs(ev.flip) / (TWO_PI * amp))
-            # simultaneous multi-channel pulse: stretched to the slowest channel
-            total += max(widths)
+            total += hard_pulse_width(ev, sys, settings)
     return total

@@ -167,28 +167,33 @@ def theoretical_limit(kappa: float) -> tuple[float, float]:
     return tau, s
 
 
-def build_swap13(v: str, kappa: float, j: float) -> PulseProgram:
+def compose_swap13(core: tuple, label: str, kappa: float) -> PulseProgram:
     """Indirect SWAP(1,3) program: U_zzz U_yzy U_xzx exp{+i pi/2 I2z}.
 
-    Each trilinear factor is an axis-change conjugation (90-degree rotations
-    on spins 1 and 3) around the variant's U_zzz block; at kappa = 1 the
-    propagator equals the spin-1<->3 permutation up to global phase.
+    core is the event tuple of one U_zzz block. Each trilinear factor is an
+    axis-change conjugation (90-degree rotations on spins 1 and 3) around
+    it; at kappa = 1 the propagator equals the spin-1<->3 permutation up to
+    global phase.
     """
-    core = lambda: build_uzzz(v, kappa, j).events
-    events = [
+    events = (
         ZRotation(2, -_D90),  # exp{+i pi/2 I2z}
         # U_xzx = R U_zzz R^-1 with R = 90y(1,3) mapping z->x on spins 1, 3
         HardPulse(frozenset({1, 3}), -_D90, _Y),
-        *core(),
+        *core,
         HardPulse(frozenset({1, 3}), _D90, _Y),
         # U_yzy via R' = -90x(1,3) mapping z->y on spins 1, 3
         HardPulse(frozenset({1, 3}), _D90, _X),
-        *core(),
+        *core,
         HardPulse(frozenset({1, 3}), -_D90, _X),
         # U_zzz
-        *core(),
-    ]
-    return PulseProgram(tuple(events), label=f"swap13-{v}", kappa=kappa)
+        *core,
+    )
+    return PulseProgram(events, label=label, kappa=kappa)
+
+
+def build_swap13(v: str, kappa: float, j: float) -> PulseProgram:
+    """Indirect SWAP(1,3) program around the variant's ideal U_zzz block."""
+    return compose_swap13(build_uzzz(v, kappa, j).events, f"swap13-{v}", kappa)
 
 
 def swap_duration_bookkeeping(j: float) -> dict:

@@ -95,14 +95,14 @@ def test_dante_validation():
 
 
 def test_broadband_geodesic_offsets():
-    p = broadband_geodesic(1.0, J, n=64)
+    p = broadband_geodesic(1.0, J, BroadbandScheme(n=64))
     assert fidelity(propagator_of(p, OFFSET_SYS), TARGET) >= 0.999
     wide = SpinSystem(J, J, 0.0, 2000.0, -2000.0, 2000.0)
     assert fidelity(propagator_of(p, wide), TARGET) >= 0.999
 
 
 def test_broadband_geodesic_sparse_layout():
-    p = broadband_geodesic(1.0, J, BroadbandScheme(sparse_pi=True), n=64)
+    p = broadband_geodesic(1.0, J, BroadbandScheme(n=64, sparse_pi=True))
     assert fidelity(propagator_of(p, CHAIN), TARGET) >= 0.999
     pis = [e for e in p.events if isinstance(e, HardPulse)
            and e.targets == frozenset({1, 2, 3})]

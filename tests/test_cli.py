@@ -104,6 +104,29 @@ def test_eta_sweep_bad_config(tmp_path, capsys):
     assert err.value.code == 2
 
 
+def test_eta_sweep_error_leaves_stdout_empty(tmp_path, capsys):
+    cfg = tmp_path / "uncoupled.cfg"
+    cfg.write_text("j12 = 0\nj23 = 0\n")
+    assert cli.main(["eta-sweep", "--variant", "B", "--kappa", "1:1",
+                     "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "coupling J must be positive" in captured.err
+
+
+@pytest.mark.parametrize("command", ["curves", "eta-sweep"])
+@pytest.mark.parametrize("kappa", ["abc", "0:inf"])
+def test_malformed_kappa_names_the_value(capsys, command, kappa):
+    argv = [command, "--kappa", kappa] + (["--variant", "B"] if command == "eta-sweep" else [])
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and repr(kappa) in lines[0]
+
+
 @pytest.mark.parametrize("suite", ["identities", "swap", "broadband", "limits"])
 def test_verify_suites_pass(capsys, suite):
     code, out = run(capsys, "verify", suite)

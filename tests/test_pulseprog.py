@@ -79,6 +79,20 @@ def test_event_validation():
         ZRotation(4, 1.0)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: Delay(math.nan), "duration"),
+    (lambda: Delay(math.inf), "duration"),
+    (lambda: WeakPulse(frozenset({2}), math.nan, 1e-3, 0.0), "amplitude"),
+    (lambda: WeakPulse(frozenset({2}), 10.0, math.inf, 0.0), "duration"),
+    (lambda: HardPulse(frozenset({1}), math.pi, math.nan), "phase"),
+    (lambda: parse_program("delay 1e400s"), "duration"),
+], ids=["delay-nan", "delay-inf", "wpulse-amp-nan", "wpulse-dur-inf", "pulse-phase-nan",
+        "parsed-delay-1e400s"])
+def test_non_finite_event_fields_rejected(make, field):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make()
+
+
 @pytest.mark.parametrize("v", VARIANTS)
 def test_round_trip_is_a_fixpoint(v):
     for builder in (build_uzzz, build_swap13):
