@@ -54,7 +54,7 @@ from .engine import (
     evolve,
     offset_scan,
     propagator_of,
-    rf_ensemble_average,
+    propagator_stack,
 )
 from .metrics import eta_curve, fidelity, fig2_tables, transfer_efficiency
 

@@ -208,8 +208,10 @@ def cmd_verify(args) -> int:
     if args.suite not in SUITES:
         print(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}", file=sys.stderr)
         return USAGE_ERROR
+    # the whole suite runs before any output, so an error leaves stdout empty
+    results = list(SUITES[args.suite](args.J))
     failed = False
-    for name, value, tol in SUITES[args.suite](args.J):
+    for name, value, tol in results:
         ok = value <= tol
         failed = failed or not ok
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {value:.3e} (tol {tol:.0e})")

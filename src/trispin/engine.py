@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import groupby
 
 import numpy as np
 
@@ -42,9 +44,19 @@ class SimulationSettings:
     def __post_init__(self):
         if self.mode not in ("ideal", "realistic"):
             raise ValueError(f"mode must be 'ideal' or 'realistic', got {self.mode!r}")
-        amps = dict(self.rf_amplitudes)
-        if self.mode == "realistic" and any(a <= 0 for a in amps.values()):
-            raise ValueError("realistic mode requires positive rf amplitudes")
+        # the engine exponentiates every pulse of a program in one batch, so
+        # a NaN here would only surface as a LinAlgError from eigh
+        for channel, amp in self.rf_amplitudes:
+            if not math.isfinite(amp):
+                raise ValueError(f"rf_amplitudes[{channel!r}] must be finite, got {amp!r}")
+            if self.mode == "realistic" and amp <= 0:
+                raise ValueError(f"rf_amplitudes[{channel!r}] must be positive in realistic mode, "
+                                 f"got {amp!r}")
+        for spin, nu in self.offset_overrides:
+            if spin not in (1, 2, 3):
+                raise ValueError(f"offset_overrides: spin index must be 1, 2 or 3, got {spin!r}")
+            if not math.isfinite(nu):
+                raise ValueError(f"offset_overrides[{spin}] must be finite, got {nu!r}")
         if not 0.0 <= self.rf_fwhm < 1.0:
             raise ValueError("rf_fwhm must be in [0, 1)")
         if self.rf_grid_points < 1 or self.rf_grid_points % 2 == 0:
@@ -69,90 +81,87 @@ class SimulationSettings:
 IDEAL = SimulationSettings.make()
 
 
-def _apply_overrides(sys: SpinSystem, settings: SimulationSettings) -> SpinSystem:
-    if not settings.offset_overrides:
-        return sys
-    nus = list(sys.offsets)
-    for spin, nu in settings.offset_overrides:
-        nus[spin - 1] = nu
-    return sys.with_offsets(*nus)
-
-
-def _hard_pulse_unitary(ev: HardPulse, sys: SpinSystem, settings: SimulationSettings,
-                        h0: np.ndarray, rf_scale: float) -> np.ndarray:
+def _lower(ev, sys: SpinSystem, settings: SimulationSettings, h0: np.ndarray):
+    """A Delay, a ZRotation or a zero-width pulse as its diagonal phase angles;
+    any other pulse as (weight of H0, rf term at unit scale, time)."""
+    if isinstance(ev, Delay):
+        return np.diag(h0).real * ev.duration
+    if isinstance(ev, ZRotation):
+        return ev.angle * np.diag(spin_operator(ev.target, "z")).real
+    if isinstance(ev, WeakPulse):
+        return 1.0, rf_hamiltonian(ev.targets, ev.amplitude, ev.phase), ev.duration
+    if not isinstance(ev, HardPulse):
+        raise TypeError(f"unknown event type {type(ev).__name__}")
     if settings.mode == "ideal":
-        return expm_generator(rf_hamiltonian(ev.targets, 1.0 / TWO_PI, ev.phase), ev.flip)
-    # Finite pulse of hard_pulse_width; every channel's rf is stretched so
-    # its flip completes within that width. The inhomogeneity scale
-    # multiplies the delivered amplitude, not the programmed duration.
+        return 0.0, rf_hamiltonian(ev.targets, 1.0 / TWO_PI, ev.phase), ev.flip
+    # Finite pulse of hard_pulse_width, every channel's rf stretched to it; the
+    # rf scale multiplies the delivered amplitude, not the programmed duration.
     width = hard_pulse_width(ev, sys, settings)
     if width == 0.0:
-        return np.eye(8, dtype=complex)
-    amp = rf_scale * ev.flip / (TWO_PI * width)
-    return expm_generator(h0 + rf_hamiltonian(ev.targets, amp, ev.phase), width)
+        return np.zeros(8)
+    return 1.0, rf_hamiltonian(ev.targets, ev.flip / (TWO_PI * width), ev.phase), width
 
 
-def propagator_of(p: PulseProgram, sys: SpinSystem,
-                  settings: SimulationSettings = IDEAL,
-                  rf_scale: float = 1.0) -> np.ndarray:
-    """Total propagator of the program; events compose right-to-left in time."""
-    sys = _apply_overrides(sys, settings)
+def propagator_stack(p: PulseProgram, sys: SpinSystem,
+                     settings: SimulationSettings = IDEAL, scales=(1.0,)) -> np.ndarray:
+    """Total propagators at each rf scale as a (B, 8, 8) stack; events compose
+    right-to-left in time. Lowered once for all scales: one exp for the phases
+    of all distinct delays and z-rotations, one row scaling per run of them,
+    one eigh for all distinct pulses at all scales. Ideal mode ignores scales.
+    """
+    nus = dict(settings.offset_overrides)
+    sys = sys.with_offsets(*(nus.get(k, nu) for k, nu in enumerate(sys.offsets, 1)))
     h0 = free_hamiltonian(sys)
-    h0_diag = np.diag(h0).copy()
-    cache: dict = {}
-    u = np.eye(8, dtype=complex)
-    for ev in p.events:
-        key = ev
-        if key not in cache:
-            if isinstance(ev, Delay):
-                cache[key] = np.diag(np.exp(-1j * h0_diag * ev.duration))
-            elif isinstance(ev, HardPulse):
-                cache[key] = _hard_pulse_unitary(ev, sys, settings, h0, rf_scale)
-            elif isinstance(ev, WeakPulse):
-                scale = rf_scale if settings.mode == "realistic" else 1.0
-                h = h0 + rf_hamiltonian(ev.targets, scale * ev.amplitude, ev.phase)
-                cache[key] = expm_generator(h, ev.duration)
-            elif isinstance(ev, ZRotation):
-                cache[key] = np.diag(np.exp(-1j * ev.angle * np.diag(spin_operator(ev.target, "z"))))
-            else:
-                raise TypeError(f"unknown event type {type(ev).__name__}")
-        u = cache[key] @ u
+    rf_scales = np.asarray(scales, float) if settings.mode == "realistic" else np.ones(len(scales))
+    index: dict = {}
+    order = [index.setdefault(ev, len(index)) for ev in p.events]
+    ops = [_lower(ev, sys, settings, h0) for ev in index]  # made phase vectors, stacks below
+    diag = [i for i, op in enumerate(ops) if isinstance(op, np.ndarray)]
+    for i, phases in zip(diag, np.exp(-1j * np.array([ops[i] for i in diag]))):
+        ops[i] = phases
+    pulses = [i for i, op in enumerate(ops) if isinstance(op, tuple)]
+    if pulses:
+        h0_weight, rf, t = (np.array(x) for x in zip(*(ops[i] for i in pulses)))
+        h = h0_weight[:, None, None, None] * h0 + rf_scales[:, None, None] * rf[:, None]
+        for i, stack in zip(pulses, expm_generator(h, t[:, None])):
+            ops[i] = stack
+    u = np.tile(np.eye(8, dtype=complex), (len(rf_scales), 1, 1))
+    for diagonal, run in groupby((ops[i] for i in order), key=lambda op: op.ndim == 1):
+        if diagonal:
+            u = reduce(np.multiply, run)[:, None] * u
+        else:
+            for stack in run:
+                u = stack @ u
     return u
 
 
+def propagator_of(p: PulseProgram, sys: SpinSystem, settings: SimulationSettings = IDEAL,
+                  rf_scale: float = 1.0) -> np.ndarray:
+    """Total propagator of the program at one rf scale."""
+    return propagator_stack(p, sys, settings, (rf_scale,))[0]
+
+
 def ensemble_scales(settings: SimulationSettings) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic rf-amplitude scale grid and normalized Gaussian weights."""
-    if settings.rf_fwhm == 0.0 or settings.rf_grid_points == 1:
+    """Deterministic rf-amplitude scale grid and normalized Gaussian weights (ideal: one point)."""
+    if settings.mode == "ideal" or settings.rf_fwhm == 0.0 or settings.rf_grid_points == 1:
         return np.array([1.0]), np.array([1.0])
     sigma = settings.rf_fwhm / _FWHM_TO_SIGMA
-    scales = 1.0 + sigma * np.linspace(-2.0, 2.0, settings.rf_grid_points)
-    weights = np.exp(-((scales - 1.0) ** 2) / (2.0 * sigma**2))
+    x = np.linspace(-2.0, 2.0, settings.rf_grid_points)  # in sigmas: no division by sigma
+    scales, weights = 1.0 + sigma * x, np.exp(-0.5 * x**2)
     weights /= weights.sum()
     return scales, weights
 
 
-def rf_ensemble_average(metric, settings: SimulationSettings) -> float:
-    """Weighted mean of metric(scale) over the rf-inhomogeneity grid."""
-    scales, weights = ensemble_scales(settings)
-    return float(sum(w * metric(c) for c, w in zip(scales, weights)))
-
-
 def evolve(rho0: np.ndarray, p: PulseProgram, sys: SpinSystem,
            settings: SimulationSettings = IDEAL) -> np.ndarray:
-    """U rho0 U†, ensemble-averaged over rf scales when enabled."""
+    """U rho0 U†, averaged over the rf-ensemble scales with their weights."""
     rho0 = np.asarray(rho0, dtype=complex)
     defect = hermiticity_defect(rho0)
     if defect > 1e-10:
         raise ValueError(f"initial state is not Hermitian: defect {defect:.3e}")
-    if settings.mode == "realistic" and settings.rf_fwhm > 0.0:
-        scales, weights = ensemble_scales(settings)
-        out = np.zeros_like(rho0)
-        for c, w in zip(scales, weights):
-            u = propagator_of(p, sys, settings, rf_scale=float(c))
-            out += w * (u @ rho0 @ u.conj().T)
-        return out
-    u = propagator_of(p, sys, settings)
-    return u @ rho0 @ u.conj().T
+    scales, weights = ensemble_scales(settings)
+    u = propagator_stack(p, sys, settings, scales)
+    return np.tensordot(weights, u @ rho0 @ u.conj().swapaxes(-1, -2), axes=1)
 
 
 def offset_scan(p: PulseProgram, sys: SpinSystem, settings: SimulationSettings,

@@ -18,23 +18,23 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
-    """Largest entrywise deviation of a from its conjugate transpose."""
+    """Largest entrywise |a - a†| over one matrix or an (..., n, n) stack."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a - a.conj().T)))
+    return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2))))
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Largest entrywise deviation of u†u from the identity."""
+    """Largest entrywise deviation of u†u from the identity, over a stack too."""
     u = np.asarray(u)
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    return float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]))))
 
 
-def expm_generator(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) for a Hermitian generator h (rad/s) and duration t (s).
+def expm_generator(h: np.ndarray, t) -> np.ndarray:
+    """exp(-i h t) for Hermitian generators h (rad/s) and durations t (s).
 
-    Uses a Hermitian eigendecomposition; the matrices are at most 8x8 so
-    cost is negligible. Raises ValueError if h is not Hermitian within
-    HERMITIAN_TOL, reporting the measured asymmetry.
+    h is one matrix or an (..., n, n) stack and t broadcasts against
+    h.shape[:-2]; one eigh covers the stack. Raises ValueError if h is not
+    Hermitian within HERMITIAN_TOL, reporting the largest asymmetry.
     """
     h = np.asarray(h, dtype=complex)
     defect = hermiticity_defect(h)
@@ -44,4 +44,5 @@ def expm_generator(h: np.ndarray, t: float) -> np.ndarray:
             f"(tolerance {HERMITIAN_TOL:.0e})"
         )
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    phases = np.exp(-1j * w * np.asarray(t)[..., None])
+    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)

@@ -204,36 +204,41 @@ def parse_program(text: str, label: str = "") -> PulseProgram:
             continue
         tokens = line.split()
         kind, args = tokens[0], tokens[1:]
-        if kind == "pulse":
-            f = _fields(args, ("targets", "angle", "phase"), lineno)
-            try:
-                flip = math.radians(float(f["angle"]))
-            except ValueError:
-                raise ProgramSyntaxError(f"bad angle {f['angle']!r}", lineno) from None
-            events.append(HardPulse(_parse_targets(f["targets"], lineno), flip,
-                                    _parse_phase(f["phase"], lineno)))
-        elif kind == "wpulse":
-            f = _fields(args, ("targets", "amp", "dur", "phase"), lineno)
-            events.append(WeakPulse(_parse_targets(f["targets"], lineno),
-                                    _parse_freq(f["amp"], lineno),
-                                    _parse_time(f["dur"], lineno),
-                                    _parse_phase(f["phase"], lineno)))
-        elif kind == "delay":
-            if len(args) != 1:
-                raise ProgramSyntaxError("delay takes exactly one time argument", lineno)
-            events.append(Delay(_parse_time(args[0], lineno)))
-        elif kind == "zrot":
-            f = _fields(args, ("target", "angle"), lineno)
-            try:
-                target = int(f["target"])
-                angle = math.radians(float(f["angle"]))
-            except ValueError:
-                raise ProgramSyntaxError(f"bad zrot arguments {args!r}", lineno) from None
-            if target not in (1, 2, 3):
-                raise ProgramSyntaxError(f"unknown spin index {target}", lineno)
-            events.append(ZRotation(target, angle))
-        else:
-            raise ProgramSyntaxError(f"unknown event {kind!r}", lineno)
+        # a try block costs nothing until it catches; the event constructors'
+        # own checks (finite fields, known spins) then get the line number
+        try:
+            if kind == "pulse":
+                f = _fields(args, ("targets", "angle", "phase"), lineno)
+                try:
+                    flip = math.radians(float(f["angle"]))
+                except ValueError:
+                    raise ProgramSyntaxError(f"bad angle {f['angle']!r}", lineno) from None
+                events.append(HardPulse(_parse_targets(f["targets"], lineno), flip,
+                                        _parse_phase(f["phase"], lineno)))
+            elif kind == "wpulse":
+                f = _fields(args, ("targets", "amp", "dur", "phase"), lineno)
+                events.append(WeakPulse(_parse_targets(f["targets"], lineno),
+                                        _parse_freq(f["amp"], lineno),
+                                        _parse_time(f["dur"], lineno),
+                                        _parse_phase(f["phase"], lineno)))
+            elif kind == "delay":
+                if len(args) != 1:
+                    raise ProgramSyntaxError("delay takes exactly one time argument", lineno)
+                events.append(Delay(_parse_time(args[0], lineno)))
+            elif kind == "zrot":
+                f = _fields(args, ("target", "angle"), lineno)
+                try:
+                    target = int(f["target"])
+                    angle = math.radians(float(f["angle"]))
+                except ValueError:
+                    raise ProgramSyntaxError(f"bad zrot arguments {args!r}", lineno) from None
+                events.append(ZRotation(target, angle))
+            else:
+                raise ProgramSyntaxError(f"unknown event {kind!r}", lineno)
+        except ProgramSyntaxError:
+            raise
+        except ValueError as exc:
+            raise ProgramSyntaxError(str(exc), lineno) from None
     return PulseProgram(tuple(events), label=label, kappa=kappa, meta=tuple(meta))
 
 

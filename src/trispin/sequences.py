@@ -38,6 +38,11 @@ def _check_variant(v: str):
         raise ValueError(f"unknown sequence variant {v!r}")
 
 
+def _check_j(j: float):
+    if not (math.isfinite(j) and j > 0):
+        raise ValueError(f"coupling J must be positive and finite, got {j}")
+
+
 def _echo(duration: float, refocus_spin: int) -> list:
     """Coupling evolution with all terms involving refocus_spin cancelled.
 
@@ -129,8 +134,7 @@ def build_uzzz(v: str, kappa: float, j: float) -> PulseProgram:
     """Ideal pulse program realizing U_zzz(kappa) with sequence variant v."""
     _check_variant(v)
     _check_kappa(kappa)
-    if j <= 0:
-        raise ValueError(f"coupling J must be positive, got {j}")
+    _check_j(j)
     events = _BUILDERS[v](kappa, j)
     return PulseProgram(tuple(events), label=f"uzzz-{v}", kappa=kappa)
 
@@ -198,8 +202,7 @@ def build_swap13(v: str, kappa: float, j: float) -> PulseProgram:
 
 def swap_duration_bookkeeping(j: float) -> dict:
     """Durations (s) of direct, conventional-indirect and optimal SWAP(1,3)."""
-    if j <= 0:
-        raise ValueError(f"coupling J must be positive, got {j}")
+    _check_j(j)
     return {
         "direct": 3.0 / (2.0 * j),
         "conventional13": 9.0 / (2.0 * j),

@@ -3,8 +3,20 @@
 These deliberately avoid the library's own linear-algebra routines: the
 matrix exponential is a Taylor series with scaling and squaring, and the
 Kronecker product and diagonal-Hamiltonian assembly are explicit loops.
+The one exception is propagator_loop/evolve_loop, the engine's former
+per-event, per-scale loop, kept as the reference for the batched engine:
+it exponentiates one 8x8 generator at a time and multiplies event by event.
 """
+import math
+
 import numpy as np
+
+from trispin.engine import ensemble_scales
+from trispin.linalg import expm_generator, hermiticity_defect
+from trispin.pulseprog import Delay, HardPulse, WeakPulse, ZRotation, hard_pulse_width
+from trispin.spinsys import free_hamiltonian, rf_hamiltonian, spin_operator
+
+TWO_PI = 2.0 * math.pi
 
 
 def expm_taylor(h, t):
@@ -50,3 +62,68 @@ def h0_diagonal_loops(j12, j23, j13, nu1, nu2, nu3):
             + nu1 * m[0] + nu2 * m[1] + nu3 * m[2]
         )
     return diag
+
+
+def _apply_overrides(sys, settings):
+    if not settings.offset_overrides:
+        return sys
+    nus = list(sys.offsets)
+    for spin, nu in settings.offset_overrides:
+        nus[spin - 1] = nu
+    return sys.with_offsets(*nus)
+
+
+def _hard_pulse_unitary(ev, sys, settings, h0, rf_scale):
+    if settings.mode == "ideal":
+        return expm_generator(rf_hamiltonian(ev.targets, 1.0 / TWO_PI, ev.phase), ev.flip)
+    # Finite pulse of hard_pulse_width; every channel's rf is stretched so
+    # its flip completes within that width. The inhomogeneity scale
+    # multiplies the delivered amplitude, not the programmed duration.
+    width = hard_pulse_width(ev, sys, settings)
+    if width == 0.0:
+        return np.eye(8, dtype=complex)
+    amp = rf_scale * ev.flip / (TWO_PI * width)
+    return expm_generator(h0 + rf_hamiltonian(ev.targets, amp, ev.phase), width)
+
+
+def propagator_loop(p, sys, settings, rf_scale=1.0):
+    """Total propagator of the program; events compose right-to-left in time."""
+    sys = _apply_overrides(sys, settings)
+    h0 = free_hamiltonian(sys)
+    h0_diag = np.diag(h0).copy()
+    cache: dict = {}
+    u = np.eye(8, dtype=complex)
+    for ev in p.events:
+        key = ev
+        if key not in cache:
+            if isinstance(ev, Delay):
+                cache[key] = np.diag(np.exp(-1j * h0_diag * ev.duration))
+            elif isinstance(ev, HardPulse):
+                cache[key] = _hard_pulse_unitary(ev, sys, settings, h0, rf_scale)
+            elif isinstance(ev, WeakPulse):
+                scale = rf_scale if settings.mode == "realistic" else 1.0
+                h = h0 + rf_hamiltonian(ev.targets, scale * ev.amplitude, ev.phase)
+                cache[key] = expm_generator(h, ev.duration)
+            elif isinstance(ev, ZRotation):
+                cache[key] = np.diag(np.exp(-1j * ev.angle * np.diag(spin_operator(ev.target, "z"))))
+            else:
+                raise TypeError(f"unknown event type {type(ev).__name__}")
+        u = cache[key] @ u
+    return u
+
+
+def evolve_loop(rho0, p, sys, settings):
+    """U rho0 U†, ensemble-averaged over rf scales when enabled."""
+    rho0 = np.asarray(rho0, dtype=complex)
+    defect = hermiticity_defect(rho0)
+    if defect > 1e-10:
+        raise ValueError(f"initial state is not Hermitian: defect {defect:.3e}")
+    if settings.mode == "realistic" and settings.rf_fwhm > 0.0:
+        scales, weights = ensemble_scales(settings)
+        out = np.zeros_like(rho0)
+        for c, w in zip(scales, weights):
+            u = propagator_loop(p, sys, settings, rf_scale=float(c))
+            out += w * (u @ rho0 @ u.conj().T)
+        return out
+    u = propagator_loop(p, sys, settings)
+    return u @ rho0 @ u.conj().T

@@ -167,3 +167,16 @@ def test_compile_kappa_out_of_range(capsys, tmp_path):
 def test_compile_unwritable_path(capsys):
     assert cli.main(["compile", "--variant", "B", "--kappa", "1",
                      "--out", "/nonexistent-dir/x.pp"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1", "--J", "nan"],
+    ["table1", "--J", "inf"],
+    ["verify", "swap", "--J", "nan"],
+    ["verify", "identities", "--J", "inf"],
+])
+def test_non_finite_j_exits_2_with_empty_stdout(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and f"got {argv[-1]}" in captured.err

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from trispin.engine import (
     IDEAL,
@@ -10,13 +11,22 @@ from trispin.engine import (
     evolve,
     offset_scan,
     propagator_of,
-    rf_ensemble_average,
+    propagator_stack,
 )
 from trispin.linalg import expm_generator, unitarity_defect
 from trispin.metrics import fidelity
-from trispin.pulseprog import Delay, HardPulse, PulseProgram
+from trispin.pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation
 from trispin.sequences import build_swap13, build_uzzz
-from trispin.spinsys import free_hamiltonian, ideal_chain, spin_operator, target_trilinear
+from trispin.spinsys import (
+    SpinSystem,
+    acetamide,
+    free_hamiltonian,
+    ideal_chain,
+    spin_operator,
+    target_trilinear,
+)
+
+from oracles import evolve_loop, propagator_loop
 
 J = 88.0
 SYS = ideal_chain(J)
@@ -81,15 +91,18 @@ def test_ensemble_grid_shape_and_symmetry():
     assert weights.sum() == pytest.approx(1.0)
     assert np.allclose(scales - 1.0, -(scales[::-1] - 1.0))
     assert np.allclose(weights, weights[::-1])
+    # symmetric grid: the weighted mean scale is the nominal one
+    assert weights @ scales == pytest.approx(1.0)
     # FWHM 0 collapses to a single nominal point
     scales0, weights0 = ensemble_scales(IDEAL)
     assert list(scales0) == [1.0] and list(weights0) == [1.0]
-
-
-def test_rf_ensemble_average_of_linear_metric():
-    # symmetric grid: a linear function of the scale averages to its center
-    assert rf_ensemble_average(lambda c: c, REALISTIC) == pytest.approx(1.0)
-    assert rf_ensemble_average(lambda c: 3.0, REALISTIC) == pytest.approx(3.0)
+    # a FWHM so small that sigma**2 underflows still gives finite weights
+    tiny = SimulationSettings.make(mode="realistic", rf_fwhm=1e-300, rf_grid_points=3)
+    scales_t, weights_t = ensemble_scales(tiny)
+    assert list(scales_t) == [1.0, 1.0, 1.0] and weights_t.sum() == pytest.approx(1.0)
+    # ideal pulses do not see the rf amplitude: one point whatever the FWHM
+    ideal_wide = SimulationSettings.make(mode="ideal", rf_fwhm=0.10)
+    assert [list(a) for a in ensemble_scales(ideal_wide)] == [[1.0], [1.0]]
 
 
 def test_realistic_finite_pulse_width_effect():
@@ -112,6 +125,24 @@ def test_settings_validation():
         SimulationSettings.make(mode="realistic", rf_amplitudes={"1H": 0.0})
     with pytest.raises(ValueError):
         IDEAL.amplitude_for("13C")
+
+
+@pytest.mark.parametrize("mode", ["ideal", "realistic"])
+@pytest.mark.parametrize("amp", [math.nan, math.inf, -math.inf])
+def test_settings_reject_non_finite_rf_amplitude(mode, amp):
+    with pytest.raises(ValueError, match=r"rf_amplitudes\['1H'\] must be finite"):
+        SimulationSettings.make(mode=mode, rf_amplitudes={"1H": amp})
+
+
+@pytest.mark.parametrize("overrides, match", [
+    ({7: 10.0}, r"offset_overrides: spin index must be 1, 2 or 3, got 7"),
+    ({0: 10.0}, r"offset_overrides: spin index must be 1, 2 or 3, got 0"),
+    ({2: math.nan}, r"offset_overrides\[2\] must be finite, got nan"),
+    ({3: math.inf}, r"offset_overrides\[3\] must be finite, got inf"),
+])
+def test_settings_reject_bad_offset_overrides(overrides, match):
+    with pytest.raises(ValueError, match=match):
+        SimulationSettings.make(mode="realistic", offset_overrides=overrides)
 
 
 def _fid_metric(p, sys, settings):
@@ -143,3 +174,56 @@ def test_offset_scan_validation():
         offset_scan(p, SYS, IDEAL, "1H", 0.0, 100.0, 0.0, _fid_metric)
     with pytest.raises(ValueError):
         offset_scan(p, SYS, IDEAL, "1H", 100.0, 0.0, 10.0, _fid_metric)
+
+
+# ---------------------------------------------------------------------------
+# Batched engine against the per-event loop oracle on random programs
+
+_ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
+_TARGETS = st.sets(st.sampled_from((1, 2, 3)), min_size=1).map(frozenset)
+_DURATION = st.floats(0.0, 1.0 / J)
+_EVENT = st.one_of(
+    st.builds(HardPulse, _TARGETS, _ANGLE, _ANGLE),
+    st.builds(WeakPulse, _TARGETS, st.floats(0.0, 2000.0), _DURATION, _ANGLE),
+    st.builds(Delay, _DURATION),
+    st.builds(ZRotation, st.sampled_from((1, 2, 3)), _ANGLE),
+)
+# drawing from a small pool repeats events and makes runs of delays, so the
+# deduplication and the diagonal fusion are exercised too
+_EVENTS = st.one_of(
+    st.lists(_EVENT, max_size=40),
+    st.lists(_EVENT, min_size=1, max_size=5).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=40)),
+)
+_PROGRAMS = _EVENTS.map(lambda events: PulseProgram(tuple(events)))
+_SYSTEMS = st.sampled_from((SYS, acetamide(), SpinSystem(88.0, 85.0, 3.0, 120.0, -250.0, 410.0)))
+_SETTINGS = st.builds(
+    SimulationSettings.make,
+    mode=st.sampled_from(("ideal", "realistic")),
+    rf_amplitudes=st.fixed_dictionaries({"1H": st.floats(5e3, 5e4), "15N": st.floats(1e3, 1e4)}),
+    rf_fwhm=st.floats(0.0, 0.3),
+    rf_grid_points=st.sampled_from((1, 3, 5, 7, 9, 11, 13)),
+    offset_overrides=st.dictionaries(st.sampled_from((1, 2, 3)), st.floats(-1000.0, 1000.0)),
+)
+_SCALES = st.lists(st.floats(0.5, 1.5), min_size=1, max_size=7)
+_RNG = np.random.default_rng(11)
+_A = _RNG.normal(size=(8, 8)) + 1j * _RNG.normal(size=(8, 8))
+_STATES = st.sampled_from((spin_operator(1, "x"), spin_operator(2, "y") + spin_operator(3, "z"),
+                           0.5 * (_A + _A.conj().T)))
+
+
+@given(_PROGRAMS, _SYSTEMS, _SETTINGS, _SCALES)
+def test_propagator_stack_matches_event_loop(p, sys, settings, scales):
+    stack = propagator_stack(p, sys, settings, scales)
+    assert stack.shape == (len(scales), 8, 8)
+    assert unitarity_defect(stack) < 1e-10
+    for u, c in zip(stack, scales):
+        assert np.max(np.abs(u - propagator_loop(p, sys, settings, c))) < 1e-12
+    assert np.max(np.abs(propagator_of(p, sys, settings, scales[0]) - stack[0])) < 1e-13
+
+
+@given(_PROGRAMS, _SYSTEMS, _SETTINGS, _STATES)
+def test_evolve_matches_weighted_event_loop_sum(p, sys, settings, rho0):
+    assert np.max(np.abs(evolve(rho0, p, sys, settings) - evolve_loop(rho0, p, sys, settings))) < 1e-12
+    scales, _ = ensemble_scales(settings)
+    assert unitarity_defect(propagator_stack(p, sys, settings, scales)) < 1e-10

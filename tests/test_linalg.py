@@ -46,3 +46,24 @@ def test_defect_measures():
     assert hermiticity_defect(random_hermitian()) < 1e-14
     assert unitarity_defect(np.eye(8)) < 1e-15
     assert unitarity_defect(2.0 * np.eye(8)) > 1.0
+
+
+def test_expm_of_a_stack_matches_taylor_oracle_per_matrix():
+    h = np.array([[random_hermitian() for _ in range(3)] for _ in range(2)])  # (2, 3, 8, 8)
+    t = np.array([[0.3], [1.7]])  # broadcasts against the (2, 3) stack shape
+    u = expm_generator(h, t)
+    assert u.shape == h.shape
+    for i in range(2):
+        for j in range(3):
+            assert np.max(np.abs(u[i, j] - expm_taylor(h[i, j], t[i, 0]))) < 1e-9
+            assert np.max(np.abs(u[i, j] - expm_generator(h[i, j], t[i, 0]))) < 1e-13
+    assert unitarity_defect(u) < 1e-10
+
+
+def test_stack_hermiticity_check_names_the_worst_defect():
+    h = np.array([random_hermitian() for _ in range(4)])
+    h[2, 0, 1] += 1e-3
+    assert hermiticity_defect(h) == pytest.approx(1e-3)
+    with pytest.raises(ValueError, match=r"generator is not Hermitian: max \|H - H†\| = 1\.000e-03 "
+                                         r"\(tolerance 1e-10\)"):
+        expm_generator(h, 1.0)

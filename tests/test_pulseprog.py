@@ -130,3 +130,16 @@ def test_total_duration_realistic_adds_pulse_widths():
     assert total_duration(p_all, realistic, sys) == pytest.approx(0.5 / 5500.0)
     with pytest.raises(ValueError):
         total_duration(p90, realistic, None)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("pulse targets=1 angle=90 phase=nan", "phase must be finite, got nan"),
+    ("pulse targets=1 angle=inf phase=x", "flip must be finite, got inf"),
+    ("wpulse targets=2 amp=1e400Hz dur=1ms phase=x", "amplitude must be finite, got inf"),
+    ("delay 1e400s", "duration must be finite, got inf"),
+    ("zrot target=7 angle=90", "unknown spin index 7"),
+])
+def test_event_validator_errors_carry_line_number(bad, message):
+    with pytest.raises(ProgramSyntaxError, match=f"^line 2: {message}$") as err:
+        parse_program(f"delay 1ms\n{bad}\n")
+    assert err.value.line == 2

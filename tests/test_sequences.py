@@ -113,3 +113,10 @@ def test_input_validation():
         build_uzzz("A", 1.0, 0.0)
     with pytest.raises(ValueError):
         duration_scaling("A", -0.1)
+
+
+@pytest.mark.parametrize("j", [math.nan, math.inf, -math.inf, 0.0, -88.0])
+def test_coupling_must_be_finite_and_positive(j):
+    for build in (lambda: build_uzzz("D", 1.0, j), lambda: swap_duration_bookkeeping(j)):
+        with pytest.raises(ValueError, match=f"coupling J must be positive and finite, got {j}"):
+            build()
