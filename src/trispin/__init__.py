@@ -52,9 +52,11 @@ from .engine import (
     SimulationSettings,
     ensemble_scales,
     evolve,
+    evolve_many,
     offset_scan,
     propagator_of,
     propagator_stack,
+    propagator_stacks,
 )
 from .metrics import eta_curve, fidelity, fig2_tables, transfer_efficiency
 

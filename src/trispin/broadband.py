@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation
-from .sequences import build_uzzz, compose_swap13
+from .sequences import build_uzzz, compose_swap13, geodesic_tau
 
 TWO_PI = 2.0 * math.pi
 _X = 0.0
@@ -66,7 +66,7 @@ DEFAULT_SCHEME = BroadbandScheme()
 
 def default_dante_n(kappa: float, j: float) -> int:
     """Smallest multiple of 4 with sub-delay <= 1/(20 J)."""
-    tau = math.sqrt(kappa * (4.0 - kappa)) / (2.0 * j)
+    tau = geodesic_tau(kappa) / j
     return max(4, 4 * math.ceil(20.0 * j * tau / 4.0))
 
 

@@ -13,12 +13,13 @@ import sys
 import numpy as np
 
 from . import broadband, metrics, sequences
-from .engine import DEFAULT_RF_AMPLITUDES, SimulationSettings, propagator_of
+from .engine import DEFAULT_RF_AMPLITUDES, SimulationSettings, propagator_stacks
 from .pulseprog import parse_program, serialize_program
 from .spinsys import SpinSystem, acetamide, ideal_chain, target_trilinear, swap13_target, spin_operator
 from .linalg import expm_generator
 
 USAGE_ERROR = 2
+MAX_KAPPA_POINTS = 10_000
 
 
 def _fmt(x: float) -> str:
@@ -41,8 +42,13 @@ def _parse_range(text: str):
         raise SystemExit(USAGE_ERROR)
     if stop < start:
         return []  # empty range: commands emit a header-only CSV
-    n = int(round((stop - start) / step))
-    return [round(start + i * step, 12) for i in range(n + 1) if start + i * step <= stop + 1e-12]
+    # round(span) + 1 points, counted before the grid is built; inf for a tiny step
+    span = (stop - start) / step
+    if span > MAX_KAPPA_POINTS or round(span) >= MAX_KAPPA_POINTS:
+        print(f"--kappa {text!r} spans more than {MAX_KAPPA_POINTS} grid points", file=sys.stderr)
+        raise SystemExit(USAGE_ERROR)
+    return [round(start + i * step, 12) for i in range(round(span) + 1)
+            if start + i * step <= stop + 1e-12]
 
 
 def _load_config(path: str | None) -> dict:
@@ -102,10 +108,8 @@ def cmd_curves(args) -> int:
     kappas = [k for k in _parse_range(args.kappa) if 0.0 < k <= 1.0]
     print("kappa,tau_A,tau_B,tau_C,tau_D,s_A,s_B,s_C,s_D,rA,rC,rD")
     for row in metrics.fig2_tables(kappas):
-        cells = [row["kappa"],
-                 row["tau_A"], row["tau_B"], row["tau_C"], row["tau_D"],
-                 row["s_A"], row["s_B"], row["s_C"], row["s_D"],
-                 row["r_A"], row["r_C"], row["r_D"]]
+        cells = [row["kappa"], *(row[f"{q}_{v}"] for q in ("tau", "s") for v in "ABCD"),
+                 *(row[f"r_{v}"] for v in "ACD")]
         print(",".join(_fmt(c) for c in cells))
     return 0
 
@@ -135,54 +139,41 @@ def cmd_eta_sweep(args) -> int:
 
 def _verify_identities(j: float):
     sys_ = ideal_chain(j)
+    kappas = [round(0.1 * i, 10) for i in range(1, 21)]
+    targets = [target_trilinear("z", "z", "z", kappa) for kappa in kappas]
     for v in sequences.VARIANTS:
-        worst = 0.0
-        for i in range(1, 21):
-            kappa = round(0.1 * i, 10)
-            u = propagator_of(sequences.build_uzzz(v, kappa, j), sys_)
-            worst = max(worst, 1.0 - metrics.fidelity(u, target_trilinear("z", "z", "z", kappa)))
+        stacks = propagator_stacks((sequences.build_uzzz(v, kappa, j) for kappa in kappas), sys_)
+        worst = max(0.0, *(1.0 - metrics.fidelity(u[0], t) for u, t in zip(stacks, targets)))
         yield f"sequence {v} identity (worst over kappa grid)", worst, 1e-9
 
 
 def _verify_swap(j: float):
-    uz = target_trilinear("z", "z", "z", 1.0)
-    uy = target_trilinear("y", "z", "y", 1.0)
-    ux = target_trilinear("x", "z", "x", 1.0)
+    uz, uy, ux = (target_trilinear(a, "z", a, 1.0) for a in "zyx")
     z2 = expm_generator(-math.pi / 2 * spin_operator(2, "z"), 1.0)
     prod = uz @ uy @ ux @ z2
     yield "trilinear product vs permutation", 1.0 - metrics.fidelity(prod, swap13_target()), 1e-10
     for a, b, name in ((uz, uy, "zzz/yzy"), (uz, ux, "zzz/xzx"), (uy, ux, "yzy/xzx")):
         yield f"commutator {name}", float(np.max(np.abs(a @ b - b @ a))), 1e-10
-    sys_ = ideal_chain(j)
-    for v in sequences.VARIANTS:
-        u = propagator_of(sequences.build_swap13(v, 1.0, j), sys_)
-        yield f"swap13 {v} fidelity", 1.0 - metrics.fidelity(u, swap13_target()), 1e-9
+    swaps = (sequences.build_swap13(v, 1.0, j) for v in sequences.VARIANTS)
+    for v, u in zip(sequences.VARIANTS, propagator_stacks(swaps, ideal_chain(j))):
+        yield f"swap13 {v} fidelity", 1.0 - metrics.fidelity(u[0], swap13_target()), 1e-9
 
 
 def _verify_broadband(j: float):
     sys_ = SpinSystem(j, j, 0.0, 200.0, -300.0, 500.0)
     target = target_trilinear("z", "z", "z", 1.0)
-    for v in ("A", "C"):
-        p = broadband.refocus_offsets(sequences.build_uzzz(v, 1.0, j))
-        yield f"broadband {v} under offsets", 1.0 - metrics.fidelity(propagator_of(p, sys_), target), 1e-3
-    pg = broadband.broadband_geodesic(1.0, j, broadband.BroadbandScheme(n=64))
-    yield "broadband geodesic n=64 under offsets", 1.0 - metrics.fidelity(propagator_of(pg, sys_), target), 1e-3
-    chain = ideal_chain(j)
-    errs = []
-    for n in (8, 64):
-        pd = broadband.dante_discretize(sequences.build_uzzz("D", 1.0, j), n)
-        errs.append(1.0 - metrics.fidelity(propagator_of(pd, chain), target))
-    yield "DANTE error(64) < error(8)", 0.0 if errs[1] < errs[0] else 1.0, 0.5
+    robust = [broadband.refocus_offsets(sequences.build_uzzz(v, 1.0, j)) for v in ("A", "C")]
+    robust.append(broadband.broadband_geodesic(1.0, j, broadband.BroadbandScheme(n=64)))
+    for name, u in zip(("A", "C", "geodesic n=64"), propagator_stacks(robust, sys_)):
+        yield f"broadband {name} under offsets", 1.0 - metrics.fidelity(u[0], target), 1e-3
+    trains = (broadband.dante_discretize(sequences.build_uzzz("D", 1.0, j), n) for n in (8, 64))
+    e8, e64 = (1.0 - metrics.fidelity(u[0], target) for u in propagator_stacks(trains, ideal_chain(j)))
+    yield "DANTE error(64) < error(8)", 0.0 if e64 < e8 else 1.0, 0.5
 
 
 def _verify_limits(j: float):
-    worst = 0.0
-    for i in range(1, 201):
-        kappa = i / 200.0
-        tau_d, _ = sequences.duration_scaling("D", kappa)
-        for v in ("A", "B", "C"):
-            tau_v, _ = sequences.duration_scaling(v, kappa)
-            worst = max(worst, tau_d - tau_v)
+    tau = sequences.duration_scaling
+    worst = max(tau("D", i / 200.0)[0] - tau(v, i / 200.0)[0] for i in range(1, 201) for v in "ABC")
     yield "tau_D <= tau_A/B/C over 200 samples", max(worst, 0.0), 1e-12
     periodicity = 0.0
     for i in range(0, 65):

@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import groupby
+from itertools import groupby, islice
 
 import numpy as np
 
-from .linalg import expm_generator, hermiticity_defect
+from .linalg import expm_generator, hermiticity_defect, unitarity_defect
 from .pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, hard_pulse_width
 from .spinsys import SpinSystem, free_hamiltonian, rf_hamiltonian, spin_operator
 
@@ -102,19 +102,16 @@ def _lower(ev, sys: SpinSystem, settings: SimulationSettings, h0: np.ndarray):
     return 1.0, rf_hamiltonian(ev.targets, ev.flip / (TWO_PI * width), ev.phase), width
 
 
-def propagator_stack(p: PulseProgram, sys: SpinSystem,
-                     settings: SimulationSettings = IDEAL, scales=(1.0,)) -> np.ndarray:
-    """Total propagators at each rf scale as a (B, 8, 8) stack; events compose
-    right-to-left in time. Lowered once for all scales: one exp for the phases
-    of all distinct delays and z-rotations, one row scaling per run of them,
-    one eigh for all distinct pulses at all scales. Ideal mode ignores scales.
-    """
-    nus = dict(settings.offset_overrides)
-    sys = sys.with_offsets(*(nus.get(k, nu) for k, nu in enumerate(sys.offsets, 1)))
-    h0 = free_hamiltonian(sys)
-    rf_scales = np.asarray(scales, float) if settings.mode == "realistic" else np.ones(len(scales))
+# programs lowered together; bounds the transient arrays, so a long sweep runs in constant memory
+_CHUNK = 8
+
+
+def _lower_chunk(chunk, sys: SpinSystem, settings: SimulationSettings, h0, rf_scales):
+    """(K, B, 8, 8) propagators of K programs: distinct events lowered once,
+    one exp for all delay/z-rotation phases and one eigh for all pulses at all
+    scales; one row scaling per diagonal run, one matmul per pulse event."""
     index: dict = {}
-    order = [index.setdefault(ev, len(index)) for ev in p.events]
+    orders = [[index.setdefault(ev, len(index)) for ev in p.events] for p in chunk]
     ops = [_lower(ev, sys, settings, h0) for ev in index]  # made phase vectors, stacks below
     diag = [i for i, op in enumerate(ops) if isinstance(op, np.ndarray)]
     for i, phases in zip(diag, np.exp(-1j * np.array([ops[i] for i in diag]))):
@@ -122,17 +119,45 @@ def propagator_stack(p: PulseProgram, sys: SpinSystem,
     pulses = [i for i, op in enumerate(ops) if isinstance(op, tuple)]
     if pulses:
         h0_weight, rf, t = (np.array(x) for x in zip(*(ops[i] for i in pulses)))
-        h = h0_weight[:, None, None, None] * h0 + rf_scales[:, None, None] * rf[:, None]
-        for i, stack in zip(pulses, expm_generator(h, t[:, None])):
+        # built in the call, which then holds the generators' only reference
+        stacks = expm_generator(h0_weight[:, None, None, None] * h0
+                                + rf_scales[:, None, None] * rf[:, None], t[:, None])
+        for i, stack in zip(pulses, stacks):
             ops[i] = stack
-    u = np.tile(np.eye(8, dtype=complex), (len(rf_scales), 1, 1))
-    for diagonal, run in groupby((ops[i] for i in order), key=lambda op: op.ndim == 1):
-        if diagonal:
-            u = reduce(np.multiply, run)[:, None] * u
-        else:
-            for stack in run:
-                u = stack @ u
-    return u
+    out = np.empty((len(chunk), len(rf_scales), 8, 8), dtype=complex)
+    for k, order in enumerate(orders):
+        u = np.tile(np.eye(8, dtype=complex), (len(rf_scales), 1, 1))
+        for diagonal, run in groupby((ops[i] for i in order), key=lambda op: op.ndim == 1):
+            if diagonal:
+                u = reduce(np.multiply, run)[:, None] * u
+            else:
+                for stack in run:
+                    u = stack @ u
+        out[k] = u
+    defect = unitarity_defect(out)  # the exit check, once per chunk
+    if defect > 1e-10:
+        raise ValueError(f"propagator is not unitary: defect {defect:.3e}")
+    return out
+
+
+def propagator_stacks(programs, sys: SpinSystem, settings: SimulationSettings = IDEAL,
+                      scales=(1.0,)):
+    """Yield each program's total propagators at the rf scales as a (B, 8, 8)
+    stack; events compose right-to-left in time. Draws _CHUNK programs at a
+    time and lowers them together. Ideal mode ignores scales."""
+    nus = dict(settings.offset_overrides)
+    sys = sys.with_offsets(*(nus.get(k, nu) for k, nu in enumerate(sys.offsets, 1)))
+    h0 = free_hamiltonian(sys)
+    rf_scales = np.asarray(scales, float) if settings.mode == "realistic" else np.ones(len(scales))
+    programs = iter(programs)
+    while chunk := list(islice(programs, _CHUNK)):
+        yield from _lower_chunk(chunk, sys, settings, h0, rf_scales)
+
+
+def propagator_stack(p: PulseProgram, sys: SpinSystem,
+                     settings: SimulationSettings = IDEAL, scales=(1.0,)) -> np.ndarray:
+    """Total propagators of one program at each rf scale as a (B, 8, 8) stack."""
+    return next(propagator_stacks((p,), sys, settings, scales))
 
 
 def propagator_of(p: PulseProgram, sys: SpinSystem, settings: SimulationSettings = IDEAL,
@@ -152,16 +177,22 @@ def ensemble_scales(settings: SimulationSettings) -> tuple[np.ndarray, np.ndarra
     return scales, weights
 
 
-def evolve(rho0: np.ndarray, p: PulseProgram, sys: SpinSystem,
-           settings: SimulationSettings = IDEAL) -> np.ndarray:
-    """U rho0 U†, averaged over the rf-ensemble scales with their weights."""
+def evolve_many(rho0: np.ndarray, programs, sys: SpinSystem,
+                settings: SimulationSettings = IDEAL):
+    """Yield U rho0 U† for each program, averaged over the rf ensemble."""
     rho0 = np.asarray(rho0, dtype=complex)
     defect = hermiticity_defect(rho0)
     if defect > 1e-10:
         raise ValueError(f"initial state is not Hermitian: defect {defect:.3e}")
     scales, weights = ensemble_scales(settings)
-    u = propagator_stack(p, sys, settings, scales)
-    return np.tensordot(weights, u @ rho0 @ u.conj().swapaxes(-1, -2), axes=1)
+    for u in propagator_stacks(programs, sys, settings, scales):
+        yield np.tensordot(weights, u @ rho0 @ u.conj().swapaxes(-1, -2), axes=1)
+
+
+def evolve(rho0: np.ndarray, p: PulseProgram, sys: SpinSystem,
+           settings: SimulationSettings = IDEAL) -> np.ndarray:
+    """U rho0 U†, averaged over the rf-ensemble scales with their weights."""
+    return next(evolve_many(rho0, (p,), sys, settings))
 
 
 def offset_scan(p: PulseProgram, sys: SpinSystem, settings: SimulationSettings,

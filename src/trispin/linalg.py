@@ -19,14 +19,14 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def hermiticity_defect(a: np.ndarray) -> float:
     """Largest entrywise |a - a†| over one matrix or an (..., n, n) stack."""
-    a = np.asarray(a)
-    return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2))))
+    d = np.conj(a).swapaxes(-1, -2)  # a new array even for a real a, which stays untouched
+    return float(np.max(np.abs(np.subtract(a, d, out=d)), initial=0.0))
 
 
 def unitarity_defect(u: np.ndarray) -> float:
     """Largest entrywise deviation of u†u from the identity, over a stack too."""
     u = np.asarray(u)
-    return float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]))))
+    return float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])), initial=0.0))
 
 
 def expm_generator(h: np.ndarray, t) -> np.ndarray:
@@ -44,5 +44,7 @@ def expm_generator(h: np.ndarray, t) -> np.ndarray:
             f"(tolerance {HERMITIAN_TOL:.0e})"
         )
     w, v = np.linalg.eigh(h)
+    del h  # the caller may pass its only reference: one stack fewer below
     phases = np.exp(-1j * w * np.asarray(t)[..., None])
-    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    vp = v * phases[..., None, :]
+    return vp @ np.conj(v, out=v).swapaxes(-1, -2)  # in place: one stack fewer at a time

@@ -12,7 +12,7 @@ import numpy as np
 from dataclasses import replace
 
 from .broadband import DEFAULT_SCHEME, build_swap13_broadband, default_dante_n
-from .engine import IDEAL, SimulationSettings, evolve
+from .engine import IDEAL, SimulationSettings, evolve_many
 from .sequences import VARIANTS, build_swap13, duration_scaling, theoretical_limit
 from .spinsys import SpinSystem, spin_operator
 
@@ -61,16 +61,17 @@ def eta_curve(v: str, kappas, sys: SpinSystem,
             scheme = replace(scheme, n=default_dante_n(max(kappas), j))
         if settings.mode == "realistic":
             scheme = replace(scheme, sparse_pi=True)
-    rho0 = spin_operator(1, "x")
-    out = []
-    for kappa in kappas:
-        if broadband:
-            p = build_swap13_broadband(v, kappa, j, scheme)
-        else:
-            p = build_swap13(v, kappa, j)
-        rho = evolve(rho0, p, sys, settings)
-        out.append((p.nominal_duration, transfer_efficiency(rho)))
-    return out
+    taus = []
+
+    def programs():  # built lazily: the engine holds one lowering chunk of them at a time
+        for kappa in kappas:
+            p = build_swap13_broadband(v, kappa, j, scheme) if broadband else build_swap13(v, kappa, j)
+            taus.append(p.nominal_duration)
+            yield p
+
+    rhos = evolve_many(spin_operator(1, "x"), programs(), sys, settings)
+    etas = [transfer_efficiency(rho) for rho in rhos]  # fills taus as the programs are drawn
+    return list(zip(taus, etas))
 
 
 def fig2_tables(kappas) -> list[dict]:
@@ -86,12 +87,8 @@ def fig2_tables(kappas) -> list[dict]:
             raise ValueError(f"kappa must be in (0, 1] for ratio rows, got {kappa}")
         row = {"kappa": kappa}
         for v in VARIANTS:
-            tau, s = duration_scaling(v, kappa)
-            row[f"tau_{v}"] = tau
-            row[f"s_{v}"] = s
-        tau_star, s_star = theoretical_limit(kappa)
-        row["tau_star"] = tau_star
-        row["s_star"] = s_star
+            row[f"tau_{v}"], row[f"s_{v}"] = duration_scaling(v, kappa)
+        row["tau_star"], row["s_star"] = theoretical_limit(kappa)
         for v in ("A", "C", "D"):
             row[f"r_{v}"] = row[f"s_{v}"] / row["s_B"]
         rows.append(row)

@@ -103,7 +103,8 @@ class PulseProgram:
 
     def __add__(self, other: "PulseProgram") -> "PulseProgram":
         label = self.label if self.label == other.label else f"{self.label}+{other.label}"
-        return PulseProgram(self.events + other.events, label=label)
+        kappa = self.kappa if self.kappa == other.kappa else None
+        return PulseProgram(self.events + other.events, label, kappa, self.meta + other.meta)
 
 
 class ProgramSyntaxError(ValueError):

@@ -108,17 +108,20 @@ def _uzzz_c(kappa: float, j: float) -> list:
     ]
 
 
+def geodesic_tau(kappa: float) -> float:
+    """tau J of the time-optimal sequence: sqrt(kappa (4 - kappa)) / 2."""
+    return math.sqrt(kappa * (4.0 - kappa)) / 2.0
+
+
 def weak_pulse_amplitude(kappa: float, j: float) -> float:
     """Amplitude (Hz) of the geodesic sequence's weak pulse on spin 2."""
-    if kappa == 0.0:
-        return 0.0
-    return (2.0 - kappa) * j / math.sqrt(kappa * (4.0 - kappa))
+    return 0.0 if kappa == 0.0 else (2.0 - kappa) * j / (2.0 * geodesic_tau(kappa))
 
 
 def _uzzz_d(kappa: float, j: float) -> list:
     # V_D^{-1}: -90y(2); central simultaneous coupling + weak rf on spin 2
     # (phase -x) for tau*; then W = (2 - kappa/2)*180 x(2); then V_D: 90y(2).
-    tau = math.sqrt(kappa * (4.0 - kappa)) / (2 * j)
+    tau = geodesic_tau(kappa) / j
     events = [HardPulse(frozenset({2}), -_D90, _Y)]
     if tau > 0.0:
         events.append(WeakPulse(frozenset({2}), weak_pulse_amplitude(kappa, j), tau, _MX))
@@ -146,16 +149,9 @@ def duration_scaling(v: str, kappa: float) -> tuple[float, float]:
     """
     _check_variant(v)
     _check_kappa(kappa)
-    if v == "A":
-        tau = (2.0 + kappa) / 2.0
-    elif v == "B":
-        tau = 1.0
-    elif v == "C":
-        tau = (1.0 + kappa) / 2.0
-    else:
-        tau = math.sqrt(kappa * (4.0 - kappa)) / 2.0
-    s = 0.0 if tau == 0.0 else kappa / tau
-    return tau, s
+    closed_forms = {"A": (2.0 + kappa) / 2.0, "B": 1.0, "C": (1.0 + kappa) / 2.0}
+    tau = geodesic_tau(kappa) if v == "D" else closed_forms[v]
+    return tau, 0.0 if tau == 0.0 else kappa / tau
 
 
 def theoretical_limit(kappa: float) -> tuple[float, float]:
@@ -164,11 +160,9 @@ def theoretical_limit(kappa: float) -> tuple[float, float]:
     kappa is first reduced into [0, 1] using tau*(2n +/- kappa) = tau*(kappa).
     """
     r = math.fmod(abs(kappa), 2.0)
-    if r > 1.0:
-        r = 2.0 - r
-    tau = math.sqrt(r * (4.0 - r)) / 2.0
-    s = 0.0 if tau == 0.0 else 2.0 * r / math.sqrt(r * (4.0 - r))
-    return tau, s
+    r = min(r, 2.0 - r)
+    tau = geodesic_tau(r)
+    return tau, 0.0 if tau == 0.0 else r / tau
 
 
 def compose_swap13(core: tuple, label: str, kappa: float) -> PulseProgram:

@@ -109,7 +109,7 @@ def spin_operator(k: int, axis: str) -> np.ndarray:
 def free_hamiltonian(sys: SpinSystem) -> np.ndarray:
     """H0 = coupling + offset term, in rad/s. Diagonal in the Zeeman basis."""
     iz = [spin_operator(k, "z") for k in (1, 2, 3)]
-    h = 2 * np.pi * (
+    return 2 * np.pi * (
         sys.j12 * iz[0] @ iz[1]
         + sys.j23 * iz[1] @ iz[2]
         + sys.j13 * iz[0] @ iz[2]
@@ -117,7 +117,6 @@ def free_hamiltonian(sys: SpinSystem) -> np.ndarray:
         + sys.nu2 * iz[1]
         + sys.nu3 * iz[2]
     )
-    return h
 
 
 def rf_hamiltonian(targets, amplitude: float, phase: float) -> np.ndarray:
@@ -139,9 +138,5 @@ def target_trilinear(alpha: str, beta: str, gamma: str, kappa: float) -> np.ndar
 
 def swap13_target() -> np.ndarray:
     """Permutation unitary exchanging spins 1 and 3: |abc> -> |cba>."""
-    u = np.zeros((8, 8), dtype=complex)
-    for b1 in (0, 1):
-        for b2 in (0, 1):
-            for b3 in (0, 1):
-                u[4 * b3 + 2 * b2 + b1, 4 * b1 + 2 * b2 + b3] = 1.0
-    return u
+    # swapping bits b1 and b3 of b = 4 b1 + 2 b2 + b3 is its own inverse
+    return np.eye(8, dtype=complex)[[4 * (b & 1) + (b & 2) + (b >> 2) for b in range(8)]]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -180,3 +181,39 @@ def test_non_finite_j_exits_2_with_empty_stdout(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and f"got {argv[-1]}" in captured.err
+
+
+@pytest.mark.parametrize("command", ["curves", "eta-sweep"])
+@pytest.mark.parametrize("kappa", ["0:1:1e-9", "0:1e308:1e-308", "0:10000:1"])
+def test_oversized_kappa_grid_rejected_before_it_is_built(capsys, command, kappa):
+    argv = [command, "--kappa", kappa] + (["--variant", "B"] if command == "eta-sweep" else [])
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.code == 2
+    assert peak < 2**20  # a 10^4-point grid alone would take about 0.3 MiB
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "--kappa" in lines[0] and repr(kappa) in lines[0]
+
+
+def test_kappa_grid_cap_is_inclusive():
+    assert len(cli._parse_range(f"0:{cli.MAX_KAPPA_POINTS - 1}:1")) == cli.MAX_KAPPA_POINTS
+
+
+def test_identity_suite_builds_each_target_once(monkeypatch):
+    calls = []
+    real = cli.target_trilinear
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "target_trilinear", counting)
+    assert all(value <= tol for _, value, tol in cli.SUITES["identities"](88.0))
+    assert len(calls) == len(set(calls)) == 20

@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from trispin import engine
+from trispin.broadband import BroadbandScheme, build_swap13_broadband, default_dante_n
 from trispin.engine import (
     IDEAL,
     SimulationSettings,
     ensemble_scales,
     evolve,
+    evolve_many,
     offset_scan,
     propagator_of,
     propagator_stack,
+    propagator_stacks,
 )
 from trispin.linalg import expm_generator, unitarity_defect
-from trispin.metrics import fidelity
+from trispin.metrics import eta_curve, fidelity, transfer_efficiency
 from trispin.pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation
 from trispin.sequences import build_swap13, build_uzzz
 from trispin.spinsys import (
@@ -227,3 +231,65 @@ def test_evolve_matches_weighted_event_loop_sum(p, sys, settings, rho0):
     assert np.max(np.abs(evolve(rho0, p, sys, settings) - evolve_loop(rho0, p, sys, settings))) < 1e-12
     scales, _ = ensemble_scales(settings)
     assert unitarity_defect(propagator_stack(p, sys, settings, scales)) < 1e-10
+
+
+# programs drawn from one pool share events; lists mix them with unrelated
+# programs, so a chunk's programs differ in length and in event topology
+_PROGRAM_LISTS = st.lists(_EVENT, min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(
+        st.one_of(st.lists(st.sampled_from(pool), max_size=30), _EVENTS)
+        .map(lambda events: PulseProgram(tuple(events))),
+        max_size=3 * engine._CHUNK))
+
+
+@given(_PROGRAM_LISTS, _SYSTEMS, _SETTINGS, _SCALES)
+def test_propagator_stacks_match_event_loop(programs, sys, settings, scales):
+    stacks = list(propagator_stacks(programs, sys, settings, scales))
+    assert len(stacks) == len(programs)
+    for p, stack in zip(programs, stacks):
+        assert stack.shape == (len(scales), 8, 8)
+        for u, c in zip(stack, scales):
+            assert np.max(np.abs(u - propagator_loop(p, sys, settings, c))) < 1e-12
+
+
+@given(_PROGRAM_LISTS, _SYSTEMS, _SETTINGS, _STATES)
+def test_evolve_many_matches_evolve_loop(programs, sys, settings, rho0):
+    rhos = list(evolve_many(rho0, iter(programs), sys, settings))
+    assert len(rhos) == len(programs)
+    for p, rho in zip(programs, rhos):
+        assert np.max(np.abs(rho - evolve_loop(rho0, p, sys, settings))) < 1e-12
+
+
+def test_sweep_longer_than_a_chunk_equals_points_one_at_a_time():
+    kappas = [0.1 * i for i in range(2 * engine._CHUNK + 3)]
+    programs = [build_swap13_broadband("C", k, J) for k in kappas]
+    scales, _ = ensemble_scales(REALISTIC)
+    stacks = list(propagator_stacks(programs, acetamide(), REALISTIC, scales))
+    for p, stack in zip(programs, stacks):
+        assert np.array_equal(stack, propagator_stack(p, acetamide(), REALISTIC, scales))
+
+
+def test_realistic_d_sweep_matches_per_point_evolve_loop():
+    # kappa = 2 makes the DANTE sub-pulse a zero-width (diagonal) hard pulse;
+    # more points than one chunk
+    sys, kappas = acetamide(), [0.05, 0.3, 0.7, 1.0, 1.2, 1.5, 1.75, 1.9, 1.95, 2.0]
+    j = 0.5 * (sys.j12 + sys.j23)
+    scheme = BroadbandScheme(n=default_dante_n(max(kappas), j), sparse_pi=True)
+    curve = eta_curve("D", kappas, sys, REALISTIC)
+    assert len(curve) == len(kappas)
+    for kappa, (tau, eta) in zip(kappas, curve):
+        p = build_swap13_broadband("D", kappa, j, scheme)
+        assert tau == p.nominal_duration
+        rho = evolve_loop(spin_operator(1, "x"), p, sys, REALISTIC)
+        assert abs(eta - transfer_efficiency(rho)) < 1e-12
+
+
+def test_empty_scale_grid_gives_empty_stacks():
+    p = build_swap13("A", 1.0, J)
+    assert propagator_stack(p, SYS, REALISTIC, ()).shape == (0, 8, 8)
+
+
+def test_non_unitary_result_is_rejected(monkeypatch):
+    monkeypatch.setattr(engine, "expm_generator", lambda h, t: 1.5 * expm_generator(h, t))
+    with pytest.raises(ValueError, match="propagator is not unitary"):
+        propagator_of(build_uzzz("B", 1.0, J), SYS)

@@ -67,3 +67,10 @@ def test_stack_hermiticity_check_names_the_worst_defect():
     with pytest.raises(ValueError, match=r"generator is not Hermitian: max \|H - H†\| = 1\.000e-03 "
                                          r"\(tolerance 1e-10\)"):
         expm_generator(h, 1.0)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_hermiticity_defect_leaves_its_input_alone(dtype):
+    a = np.arange(16, dtype=dtype).reshape(4, 4)
+    assert hermiticity_defect(a) == 9.0
+    assert np.array_equal(a, np.arange(16).reshape(4, 4))

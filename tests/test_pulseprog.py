@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from trispin.broadband import eliminate_z_rotations, receiver_phases
 from trispin.engine import SimulationSettings
 from trispin.pulseprog import (
     Delay,
@@ -116,6 +117,18 @@ def test_nominal_duration_and_concatenation():
     q = build_uzzz("D", 1.0, 88.0)
     assert (p + q).nominal_duration == pytest.approx(
         p.nominal_duration + q.nominal_duration)
+
+
+def test_concatenation_keeps_kappa_and_meta():
+    p = eliminate_z_rotations(build_swap13("C", 0.6, 88.0))
+    q = PulseProgram((Delay(1e-3),), label="tail", kappa=0.6, meta=(("transform", "none"),))
+    pq = p + q
+    assert pq.events == p.events + q.events
+    assert pq.kappa == 0.6
+    assert pq.meta == p.meta + q.meta
+    assert receiver_phases(pq) == receiver_phases(p) != {}
+    assert (p + PulseProgram((Delay(1e-3),), kappa=0.7)).kappa is None
+    assert (p + PulseProgram()).kappa is None
 
 
 def test_total_duration_realistic_adds_pulse_widths():

@@ -11,6 +11,7 @@ from trispin.sequences import (
     build_swap13,
     build_uzzz,
     duration_scaling,
+    geodesic_tau,
     swap_duration_bookkeeping,
     theoretical_limit,
     weak_pulse_amplitude,
@@ -120,3 +121,14 @@ def test_coupling_must_be_finite_and_positive(j):
     for build in (lambda: build_uzzz("D", 1.0, j), lambda: swap_duration_bookkeeping(j)):
         with pytest.raises(ValueError, match=f"coupling J must be positive and finite, got {j}"):
             build()
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.3, 1.0, 1.7, 2.0])
+def test_geodesic_tau_is_the_d_duration_and_the_limit(kappa):
+    tau = math.sqrt(kappa * (4.0 - kappa)) / 2.0
+    assert geodesic_tau(kappa) == tau == duration_scaling("D", kappa)[0]
+    assert theoretical_limit(kappa)[0] == geodesic_tau(min(kappa, 2.0 - kappa))
+    weak = [ev for ev in build_uzzz("D", kappa, J).events if isinstance(ev, WeakPulse)]
+    assert [wp.duration for wp in weak] == ([tau / J] if kappa > 0.0 else [])
+    if kappa > 0.0:
+        assert weak_pulse_amplitude(kappa, J) == (2.0 - kappa) * J / (2.0 * tau)
