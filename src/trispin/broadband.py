@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation
+from .pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, concatenate
 from .sequences import build_uzzz, compose_swap13, geodesic_tau
 
 TWO_PI = 2.0 * math.pi
@@ -106,13 +106,17 @@ def refocus_offsets(p: PulseProgram, scheme: BroadbandScheme = DEFAULT_SCHEME) -
     return PulseProgram(tuple(events), label=f"{p.label}-bb", kappa=p.kappa, meta=meta)
 
 
-def _dante_train(p: PulseProgram, n: int, pi_phases: tuple = ()) -> tuple:
-    """p's events with its one weak pulse replaced by an n-segment DANTE train.
+def _dante_train(p: PulseProgram, n: int, label: str, transform: str,
+                 pi_phases: tuple = ()) -> PulseProgram:
+    """p with its one weak pulse replaced by an n-segment DANTE train; the
+    result is labelled label and records ("transform", transform) in its meta.
 
     Each segment is delay/2 - sub-pulse - delay/2, a midpoint discretization
     of the simultaneous rf + coupling evolution. With pi_phases, a
     refocusing pi(1,2,3) group cycling through those phases precedes each
-    sub-pulse, whose phase is invariant under the frame toggles.
+    sub-pulse, whose phase is invariant under the frame toggles. The train
+    is one period object added n / period times: one segment, or one phase
+    cycle of segments when the cycle length divides n (else all n).
     """
     _check_segments(n)
     weak = [ev for ev in p.events if isinstance(ev, WeakPulse)]
@@ -122,22 +126,27 @@ def _dante_train(p: PulseProgram, n: int, pi_phases: tuple = ()) -> tuple:
     flip_total = TWO_PI * wp.amplitude * wp.duration
     sub_delay = Delay(wp.duration / (2 * n))
     sub_pulse = HardPulse(wp.targets, flip_total / n, wp.phase)
-    train = []
-    for i in range(n):
-        train.append(sub_delay)
+    size = len(pi_phases) or 1  # segments per period
+    if n % size:
+        size = n
+    period = []
+    for i in range(size):
+        period.append(sub_delay)
         if pi_phases:
-            train.append(HardPulse(frozenset({1, 2, 3}), math.pi, pi_phases[i % len(pi_phases)]))
-        train.extend((sub_pulse, sub_delay))
+            period.append(HardPulse(frozenset({1, 2, 3}), math.pi, pi_phases[i % len(pi_phases)]))
+        period.extend((sub_pulse, sub_delay))
+    period = PulseProgram(tuple(period), label, p.kappa)
     # with pi groups, the V_D / W rotations around the train sit where the
     # toggling frame is even (n is a multiple of 4), so they pass unchanged
     at = p.events.index(wp)
-    return p.events[:at] + tuple(train) + p.events[at + 1:]
+    head = PulseProgram(p.events[:at], label, p.kappa, p.meta + (("transform", transform),))
+    tail = PulseProgram(p.events[at + 1:], label, p.kappa)
+    return concatenate((head, *(period,) * (n // size), tail))
 
 
 def dante_discretize(p: PulseProgram, n: int) -> PulseProgram:
     """Replace the geodesic weak pulse by n hard sub-pulses and n sub-delays."""
-    meta = p.meta + (("transform", f"dante-n{n}"),)
-    return PulseProgram(_dante_train(p, n), label=f"{p.label}-dante", kappa=p.kappa, meta=meta)
+    return _dante_train(p, n, f"{p.label}-dante", f"dante-n{n}")
 
 
 def broadband_geodesic(kappa: float, j: float,
@@ -158,9 +167,7 @@ def broadband_geodesic(kappa: float, j: float,
     n = scheme.n if scheme.n is not None else default_dante_n(kappa, j)
     if not scheme.sparse_pi:
         return refocus_offsets(dante_discretize(p, n), scheme)
-    meta = p.meta + (("transform", f"broadband-geodesic-n{n}"),)
-    return PulseProgram(_dante_train(p, n, scheme.cycle), label=f"{p.label}-bb",
-                        kappa=p.kappa, meta=meta)
+    return _dante_train(p, n, f"{p.label}-bb", f"broadband-geodesic-n{n}", scheme.cycle)
 
 
 def broadband_uzzz(v: str, kappa: float, j: float,
@@ -174,7 +181,7 @@ def broadband_uzzz(v: str, kappa: float, j: float,
 def build_swap13_broadband(v: str, kappa: float, j: float,
                            scheme: BroadbandScheme = DEFAULT_SCHEME) -> PulseProgram:
     """SWAP(1,3) composition with each trilinear block offset-refocused."""
-    return compose_swap13(broadband_uzzz(v, kappa, j, scheme).events, f"swap13-{v}-bb", kappa)
+    return compose_swap13(broadband_uzzz(v, kappa, j, scheme), f"swap13-{v}-bb", kappa)
 
 
 def emulate_selective_pulse(target: int, flip_deg: float, phase: float,

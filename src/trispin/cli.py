@@ -7,19 +7,20 @@ order, so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
 import numpy as np
 
 from . import broadband, metrics, sequences
-from .engine import DEFAULT_RF_AMPLITUDES, SimulationSettings, propagator_stacks
+from .engine import DEFAULT_RF_AMPLITUDES, MAX_GRID_POINTS, SimulationSettings, propagator_stacks
 from .pulseprog import parse_program, serialize_program
 from .spinsys import SpinSystem, acetamide, ideal_chain, target_trilinear, swap13_target, spin_operator
 from .linalg import expm_generator
 
 USAGE_ERROR = 2
-MAX_KAPPA_POINTS = 10_000
+MAX_KAPPA_POINTS = MAX_GRID_POINTS
 
 
 def _fmt(x: float) -> str:
@@ -73,7 +74,11 @@ def _load_config(path: str | None) -> dict:
                 if key not in cfg:
                     print(f"config line {lineno}: unknown key {key!r}", file=sys.stderr)
                     raise SystemExit(USAGE_ERROR)
-                cfg[key] = type(cfg[key])(value.strip())
+                try:
+                    cfg[key] = type(cfg[key])(value.strip())
+                except ValueError as exc:
+                    print(f"config line {lineno}: {key}: {exc}", file=sys.stderr)
+                    raise SystemExit(USAGE_ERROR)
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
@@ -228,6 +233,7 @@ def cmd_compile(args) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trispin",

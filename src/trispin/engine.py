@@ -25,6 +25,9 @@ _FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 DEFAULT_RF_AMPLITUDES = {"1H": 35700.0, "15N": 5500.0}
 
+# largest swept grid: offset_scan here, the CLI's kappa ranges
+MAX_GRID_POINTS = 10_000
+
 
 @dataclass(frozen=True)
 class SimulationSettings:
@@ -107,11 +110,15 @@ _CHUNK = 8
 
 
 def _lower_chunk(chunk, sys: SpinSystem, settings: SimulationSettings, h0, rf_scales):
-    """(K, B, 8, 8) propagators of K programs: distinct events lowered once,
-    one exp for all delay/z-rotation phases and one eigh for all pulses at all
-    scales; one row scaling per diagonal run, one matmul per pulse event."""
+    """(K, B, 8, 8) propagators of K programs. Each distinct leaf (a program's
+    parts, or the program itself when it has none) is chained once: distinct
+    events lowered once, one exp for all delay/z-rotation phases and one eigh
+    for all pulses at all scales, one row scaling per diagonal run and one
+    matmul per pulse event. Then one matmul per part of each program."""
+    leaves = {id(leaf): leaf for p in chunk for leaf in p.parts or (p,)}
     index: dict = {}
-    orders = [[index.setdefault(ev, len(index)) for ev in p.events] for p in chunk]
+    orders = {i: [index.setdefault(ev, len(index)) for ev in leaf.events]
+              for i, leaf in leaves.items()}
     ops = [_lower(ev, sys, settings, h0) for ev in index]  # made phase vectors, stacks below
     diag = [i for i, op in enumerate(ops) if isinstance(op, np.ndarray)]
     for i, phases in zip(diag, np.exp(-1j * np.array([ops[i] for i in diag]))):
@@ -124,16 +131,21 @@ def _lower_chunk(chunk, sys: SpinSystem, settings: SimulationSettings, h0, rf_sc
                                 + rf_scales[:, None, None] * rf[:, None], t[:, None])
         for i, stack in zip(pulses, stacks):
             ops[i] = stack
-    out = np.empty((len(chunk), len(rf_scales), 8, 8), dtype=complex)
-    for k, order in enumerate(orders):
-        u = np.tile(np.eye(8, dtype=complex), (len(rf_scales), 1, 1))
+    chained = {}
+    eye = np.broadcast_to(np.eye(8, dtype=complex), (len(rf_scales), 8, 8))
+    for leaf, order in orders.items():
+        u = eye
         for diagonal, run in groupby((ops[i] for i in order), key=lambda op: op.ndim == 1):
             if diagonal:
                 u = reduce(np.multiply, run)[:, None] * u
             else:
                 for stack in run:
                     u = stack @ u
-        out[k] = u
+        chained[leaf] = u
+    out = np.empty((len(chunk), len(rf_scales), 8, 8), dtype=complex)
+    for k, p in enumerate(chunk):
+        first, *rest = (chained[id(leaf)] for leaf in p.parts or (p,))
+        out[k] = reduce(lambda u, part: part @ u, rest, first)
     defect = unitarity_defect(out)  # the exit check, once per chunk
     if defect > 1e-10:
         raise ValueError(f"propagator is not unitary: defect {defect:.3e}")
@@ -201,12 +213,19 @@ def offset_scan(p: PulseProgram, sys: SpinSystem, settings: SimulationSettings,
     """Evaluate metric(program, shifted system, settings) over an offset grid.
 
     The grid shifts the offsets of all spins on the given channel by each
-    value in [start, stop] with the given step (inclusive endpoints).
+    value in [start, stop] with the given step (inclusive endpoints), at most
+    MAX_GRID_POINTS values.
     """
+    for name, value in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"offset {name} must be finite, got {value!r}")
     if step <= 0:
         raise ValueError("offset step must be positive")
     if stop < start:
         raise ValueError("empty offset range")
-    n = int(round((stop - start) / step))
-    offsets = [start + i * step for i in range(n + 1)]
+    # round(span) + 1 points, counted before the grid is built; inf for a tiny step
+    span = (stop - start) / step
+    if span > MAX_GRID_POINTS or round(span) >= MAX_GRID_POINTS:
+        raise ValueError(f"offset grid spans more than {MAX_GRID_POINTS} points")
+    offsets = [start + i * step for i in range(round(span) + 1)]
     return [(o, float(metric(p, sys.shifted(channel, o), settings))) for o in offsets]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 TWO_PI = 2.0 * math.pi
 
@@ -91,6 +91,9 @@ class PulseProgram:
     label: str = ""
     kappa: float | None = None
     meta: tuple = ()  # ordered (key, value) pairs, e.g. receiver phases
+    # leaf operands of a chain of `+` in time order (() otherwise): the engine
+    # chains each distinct leaf object once. Not part of equality or repr.
+    parts: tuple = field(default=(), init=False, compare=False, repr=False)
 
     @property
     def nominal_duration(self) -> float:
@@ -104,7 +107,20 @@ class PulseProgram:
     def __add__(self, other: "PulseProgram") -> "PulseProgram":
         label = self.label if self.label == other.label else f"{self.label}+{other.label}"
         kappa = self.kappa if self.kappa == other.kappa else None
-        return PulseProgram(self.events + other.events, label, kappa, self.meta + other.meta)
+        out = PulseProgram(self.events + other.events, label, kappa, self.meta + other.meta)
+        object.__setattr__(out, "parts", (self.parts or (self,)) + (other.parts or (other,)))
+        return out
+
+
+def concatenate(programs) -> PulseProgram:
+    """programs[0] + programs[1] + ... for a nonempty sequence whose labels
+    agree, added pairwise: n programs cost O(n log n) event copies, where a
+    left-to-right chain of `+` copies O(n^2)."""
+    programs = list(programs)
+    while len(programs) > 1:
+        pairs = [a + b for a, b in zip(programs[::2], programs[1::2])]
+        programs = pairs + programs[2 * len(pairs):]
+    return programs[0]
 
 
 class ProgramSyntaxError(ValueError):

@@ -14,8 +14,9 @@ Coupling-only evolutions are realized as delays; where a single coupling
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
-from .pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation
+from .pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, concatenate
 
 VARIANTS = ("A", "B", "C", "D")
 
@@ -165,33 +166,39 @@ def theoretical_limit(kappa: float) -> tuple[float, float]:
     return tau, 0.0 if tau == 0.0 else r / tau
 
 
-def compose_swap13(core: tuple, label: str, kappa: float) -> PulseProgram:
+def compose_swap13(core: PulseProgram, label: str, kappa: float) -> PulseProgram:
     """Indirect SWAP(1,3) program: U_zzz U_yzy U_xzx exp{+i pi/2 I2z}.
 
-    core is the event tuple of one U_zzz block. Each trilinear factor is an
-    axis-change conjugation (90-degree rotations on spins 1 and 3) around
-    it; at kappa = 1 the propagator equals the spin-1<->3 permutation up to
-    global phase.
+    core is one U_zzz block. Each trilinear factor is an axis-change
+    conjugation (90-degree rotations on spins 1 and 3) around it; at kappa = 1
+    the propagator equals the spin-1<->3 permutation up to global phase. The
+    three copies of the core are the same leaf objects (PulseProgram.parts),
+    so the engine multiplies the core's events once.
     """
-    events = (
-        ZRotation(2, -_D90),  # exp{+i pi/2 I2z}
-        # U_xzx = R U_zzz R^-1 with R = 90y(1,3) mapping z->x on spins 1, 3
-        HardPulse(frozenset({1, 3}), -_D90, _Y),
-        *core,
-        HardPulse(frozenset({1, 3}), _D90, _Y),
-        # U_yzy via R' = -90x(1,3) mapping z->y on spins 1, 3
-        HardPulse(frozenset({1, 3}), _D90, _X),
-        *core,
-        HardPulse(frozenset({1, 3}), -_D90, _X),
-        # U_zzz
-        *core,
-    )
-    return PulseProgram(events, label=label, kappa=kappa)
+    def block(*events):
+        return PulseProgram(events, label, kappa)
+
+    # each distinct leaf of the core restamped once with the SWAP's label and
+    # kappa and no meta, so `+` keeps label and kappa and repeats the leaves
+    leaves = core.parts or (core,)
+    own = {id(leaf): leaf for leaf in leaves}  # by identity: equal leaves may be distinct objects
+    own = {i: replace(leaf, label=label, kappa=kappa, meta=()) for i, leaf in own.items()}
+    core = concatenate(own[id(leaf)] for leaf in leaves)
+    return (block(ZRotation(2, -_D90),  # exp{+i pi/2 I2z}
+                  # U_xzx = R U_zzz R^-1 with R = 90y(1,3) mapping z->x on spins 1, 3
+                  HardPulse(frozenset({1, 3}), -_D90, _Y))
+            + core
+            + block(HardPulse(frozenset({1, 3}), _D90, _Y),
+                    # U_yzy via R' = -90x(1,3) mapping z->y on spins 1, 3
+                    HardPulse(frozenset({1, 3}), _D90, _X))
+            + core
+            + block(HardPulse(frozenset({1, 3}), -_D90, _X))
+            + core)  # U_zzz
 
 
 def build_swap13(v: str, kappa: float, j: float) -> PulseProgram:
     """Indirect SWAP(1,3) program around the variant's ideal U_zzz block."""
-    return compose_swap13(build_uzzz(v, kappa, j).events, f"swap13-{v}", kappa)
+    return compose_swap13(build_uzzz(v, kappa, j), f"swap13-{v}", kappa)
 
 
 def swap_duration_bookkeeping(j: float) -> dict:

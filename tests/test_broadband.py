@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from trispin.broadband import (
     BroadbandScheme,
@@ -18,7 +19,7 @@ from trispin.engine import IDEAL, propagator_of
 from trispin.linalg import expm_generator
 from trispin.metrics import fidelity
 from trispin.pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation
-from trispin.sequences import build_uzzz
+from trispin.sequences import build_swap13, build_uzzz, compose_swap13
 from trispin.spinsys import SpinSystem, ideal_chain, spin_operator, swap13_target, target_trilinear
 
 J = 88.0
@@ -107,6 +108,66 @@ def test_broadband_geodesic_sparse_layout():
     pis = [e for e in p.events if isinstance(e, HardPulse)
            and e.targets == frozenset({1, 2, 3})]
     assert len(pis) == 64  # one pi group per segment
+
+
+@pytest.mark.parametrize("build, label, kappa", [
+    *((lambda v=v: build_swap13(v, 0.7, J), f"swap13-{v}", 0.7) for v in "ABCD"),
+    *((lambda v=v: build_swap13_broadband(v, 0.7, J), f"swap13-{v}-bb", 0.7) for v in "ABCD"),
+    (lambda: build_swap13_broadband("D", 0.7, J, BroadbandScheme(n=16, sparse_pi=True)),
+     "swap13-D-bb", 0.7),
+    (lambda: build_swap13_broadband("D", 0.0, J, BroadbandScheme(sparse_pi=True)),
+     "swap13-D-bb", 0.0),
+    # a core of two equal leaves that are distinct objects keeps them distinct
+    (lambda: compose_swap13(PulseProgram((Delay(1e-3),)) + PulseProgram((Delay(1e-3),)), "x", 1.0),
+     "x", 1.0),
+])
+def test_swap_repeats_one_core(build, label, kappa):
+    p = build()
+    assert (p.label, p.kappa, p.meta) == (label, kappa, ())  # the core's meta is not kept
+    n = (len(p.parts) - 3) // 3  # parts: head, core, mid, core, tail, core
+    core, second, third = p.parts[1:1 + n], p.parts[2 + n:2 + 2 * n], p.parts[3 + 2 * n:]
+    assert len(p.parts) == 3 * n + 3
+    assert all(a is b is c for a, b, c in zip(core, second, third, strict=True))
+    assert p.events == sum((leaf.events for leaf in p.parts), ())
+    if n == 1:
+        assert p.parts[1] is p.parts[3] is p.parts[5]
+
+
+@pytest.mark.parametrize("scheme, periods", [
+    (BroadbandScheme(n=64, sparse_pi=True), 16),  # one 4-phase cycle of segments
+    (BroadbandScheme(cycle=(0.0, math.pi), n=8, sparse_pi=True), 4),
+    (BroadbandScheme(cycle=(0.0, math.pi, math.pi), n=8, sparse_pi=True), 1),  # 3 does not divide 8
+])
+def test_sparse_dante_train_repeats_one_period(scheme, periods):
+    p = broadband_geodesic(1.0, J, scheme)
+    assert (p.label, p.kappa, p.meta) == (
+        "uzzz-D-bb", 1.0, (("transform", f"broadband-geodesic-n{scheme.n}"),))
+    first, *train, last = p.parts
+    assert len(train) == periods and all(period is train[0] for period in train)
+    assert len(train[0].events) == 4 * scheme.n // periods  # delay, pi, sub-pulse, delay
+    assert first.events + train[0].events * periods + last.events == p.events
+
+
+def test_dante_discretize_repeats_one_segment():
+    p = dante_discretize(build_uzzz("D", 1.0, J), 8)
+    assert (p.label, p.kappa, p.meta) == ("uzzz-D-dante", 1.0, (("transform", "dante-n8"),))
+    first, *train, last = p.parts
+    assert len(train) == 8 and all(segment is train[0] for segment in train)
+    assert [type(ev) for ev in train[0].events] == [Delay, HardPulse, Delay]
+
+
+_ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
+_DELAY_PULSE_PROGRAMS = st.lists(st.one_of(
+    st.builds(HardPulse, st.sets(st.sampled_from((1, 2, 3)), min_size=1).map(frozenset),
+              _ANGLE, _ANGLE),
+    st.builds(Delay, st.floats(0.0, 1.0 / J)),
+), max_size=12).map(lambda events: PulseProgram(tuple(events)))
+
+
+@given(_DELAY_PULSE_PROGRAMS, st.sampled_from((CHAIN, SpinSystem(88.0, 85.0, 3.0, 0.0, 0.0, 0.0))))
+def test_refocusing_keeps_the_on_resonance_propagator(p, sys):
+    u, v = propagator_of(p, sys), propagator_of(refocus_offsets(p), sys)
+    assert fidelity(u, v) >= 1.0 - 1e-12
 
 
 def test_broadband_geodesic_kappa_zero():

@@ -1,5 +1,11 @@
+import contextlib
+import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +109,18 @@ def test_eta_sweep_bad_config(tmp_path, capsys):
         cli.main(["eta-sweep", "--variant", "B", "--kappa", "1:1",
                   "--config", str(cfg)])
     assert err.value.code == 2
+
+
+def test_config_value_error_names_key_and_line(tmp_path, capsys):
+    cfg = tmp_path / "float_grid.cfg"
+    cfg.write_text("# rf ensemble\nrf_fwhm = 0.1\nrf_grid = 11.0\n")
+    with pytest.raises(SystemExit) as err:
+        cli.main(["eta-sweep", "--variant", "B", "--kappa", "1:1", "--config", str(cfg)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config line 3: rf_grid: invalid literal for int() "
+                            "with base 10: '11.0'\n")
 
 
 def test_eta_sweep_error_leaves_stdout_empty(tmp_path, capsys):
@@ -217,3 +235,33 @@ def test_identity_suite_builds_each_target_once(monkeypatch):
     monkeypatch.setattr(cli, "target_trilinear", counting)
     assert all(value <= tol for _, value, tol in cli.SUITES["identities"](88.0))
     assert len(calls) == len(set(calls)) == 20
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_repeated_main_calls_match_fresh_processes(monkeypatch):
+    # the parser is built once per process; usage errors, help and a failing
+    # command must not change what later calls print
+    monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to the terminal width
+    argvs = [["table1", "--J", "88"], ["table1"], ["compile", "--variant", "E", "--kappa", "1",
+             "--out", os.devnull], ["verify", "--help"], ["table1", "--J", "88"]]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    calls = [_in_process(argv) for argv in argvs]
+    for argv, call in zip(argvs, calls):
+        fresh = subprocess.run([sys.executable, "-m", "trispin.cli", *argv], env=env,
+                               capture_output=True, text=True)
+        assert call == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert [code for code, _, _ in calls] == [0, 2, 2, 0, 0]
+    assert calls[0] == calls[-1]
+    assert cli.build_parser() is cli.build_parser()

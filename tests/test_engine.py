@@ -1,4 +1,7 @@
 import math
+from dataclasses import replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -180,6 +183,32 @@ def test_offset_scan_validation():
         offset_scan(p, SYS, IDEAL, "1H", 100.0, 0.0, 10.0, _fid_metric)
 
 
+@pytest.mark.parametrize("start, stop, step, message", [
+    (0.0, math.inf, 10.0, "offset stop must be finite, got inf"),
+    (-math.inf, 0.0, 10.0, "offset start must be finite, got -inf"),
+    (math.nan, 0.0, 10.0, "offset start must be finite, got nan"),
+    (0.0, 100.0, math.nan, "offset step must be finite, got nan"),
+    (0.0, 100.0, math.inf, "offset step must be finite, got inf"),
+    (0.0, 1.0, 1e-5, "offset grid spans more than 10000 points"),
+    (0.0, 1.0, 1e-320, "offset grid spans more than 10000 points"),
+    (-1e308, 1e308, 1.0, "offset grid spans more than 10000 points"),
+])
+def test_offset_scan_rejects_non_finite_and_oversized_grids(start, stop, step, message):
+    calls = []
+    with pytest.raises(ValueError, match=message):
+        offset_scan(PulseProgram(), SYS, IDEAL, "1H", start, stop, step,
+                    lambda *args: calls.append(args))
+    assert calls == []  # rejected before any point is evaluated
+
+
+def test_offset_scan_cap_is_inclusive():
+    assert engine.MAX_GRID_POINTS == 10_000
+    curve = offset_scan(PulseProgram(), SYS, IDEAL, "1H", 0.0, 9999.0, 1.0, lambda *args: 0.0)
+    assert len(curve) == engine.MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="more than 10000"):
+        offset_scan(PulseProgram(), SYS, IDEAL, "1H", 0.0, 10000.0, 1.0, lambda *args: 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Batched engine against the per-event loop oracle on random programs
 
@@ -293,3 +322,59 @@ def test_non_unitary_result_is_rejected(monkeypatch):
     monkeypatch.setattr(engine, "expm_generator", lambda h, t: 1.5 * expm_generator(h, t))
     with pytest.raises(ValueError, match="propagator is not unitary"):
         propagator_of(build_uzzz("B", 1.0, J), SYS)
+
+
+# ---------------------------------------------------------------------------
+# Programs composed with `+`: each distinct leaf object is propagated once
+
+_LEAVES = st.lists(_EVENT, max_size=12).map(lambda events: PulseProgram(tuple(events)))
+
+
+def _sums(pool):
+    """Sums of leaves drawn from pool, so leaf objects repeat within and
+    across programs; a single draw is a program without parts."""
+    return st.lists(st.sampled_from(pool), min_size=1, max_size=7).map(lambda ps: reduce(add, ps))
+
+
+_COMPOSED = st.lists(_LEAVES, min_size=1, max_size=4).flatmap(_sums)
+_COMPOSED_LISTS = st.lists(_LEAVES, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(_sums(pool), min_size=engine._CHUNK + 1, max_size=2 * engine._CHUNK))
+
+
+@given(_COMPOSED, _SYSTEMS, _SETTINGS, _SCALES)
+def test_composed_program_matches_event_loop(p, sys, settings, scales):
+    assert p.events == sum((leaf.events for leaf in p.parts or (p,)), ())
+    for u, c in zip(propagator_stack(p, sys, settings, scales), scales):
+        assert np.max(np.abs(u - propagator_loop(p, sys, settings, c))) < 1e-12
+
+
+@given(_COMPOSED_LISTS, _SYSTEMS, _SETTINGS, _SCALES)
+def test_composed_programs_longer_than_a_chunk_match_event_loop(programs, sys, settings, scales):
+    stacks = list(propagator_stacks(programs, sys, settings, scales))
+    assert len(stacks) == len(programs)
+    for p, stack in zip(programs, stacks):
+        for u, c in zip(stack, scales):
+            assert np.max(np.abs(u - propagator_loop(p, sys, settings, c))) < 1e-12
+
+
+@pytest.mark.parametrize("settings", [IDEAL, REALISTIC])
+def test_replace_flattens_and_keeps_the_propagator(settings):
+    p = build_swap13_broadband("D", 0.8, J, BroadbandScheme(n=16, sparse_pi=True))
+    flat = replace(p, label="renamed")
+    assert p.parts and flat.parts == () and flat.events == p.events
+    scales, _ = ensemble_scales(settings)
+    diff = propagator_stack(flat, acetamide(), settings, scales) - propagator_stack(
+        p, acetamide(), settings, scales)
+    assert np.max(np.abs(diff)) < 1e-12
+
+
+def test_sum_of_5000_programs_propagates():
+    pulse = PulseProgram((HardPulse(frozenset({2}), 0.1, 0.3),))
+    delay = PulseProgram((Delay(1e-4),))
+    p = pulse
+    for i in range(5000):
+        p += delay if i % 2 else pulse
+    assert len(p.parts) == 5001 and len(p.events) == 5001
+    u = propagator_of(p, acetamide(), REALISTIC)
+    assert unitarity_defect(u) < 1e-10
+    assert np.max(np.abs(u - propagator_loop(p, acetamide(), REALISTIC))) < 1e-10

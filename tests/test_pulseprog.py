@@ -1,6 +1,8 @@
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from trispin.broadband import eliminate_z_rotations, receiver_phases
 from trispin.engine import SimulationSettings
@@ -13,6 +15,7 @@ from trispin.pulseprog import (
     ZRotation,
     parse_program,
     serialize_program,
+    concatenate,
     total_duration,
 )
 from trispin.sequences import VARIANTS, build_swap13, build_uzzz
@@ -131,6 +134,34 @@ def test_concatenation_keeps_kappa_and_meta():
     assert (p + PulseProgram()).kappa is None
 
 
+def test_sum_records_its_leaves_outside_equality():
+    a = PulseProgram((HardPulse(frozenset({2}), 1.0, 0.0),), label="x", kappa=0.5)
+    b = PulseProgram((Delay(1e-3), ZRotation(1, 0.2)), label="x", kappa=0.5, meta=(("k", "v"),))
+    p = a + b + a
+    assert p.parts == (a, b, a) and p.parts[0] is p.parts[2]
+    assert p.events == a.events + b.events + a.events
+    flat = PulseProgram(p.events, "x", 0.5, (("k", "v"),))
+    assert flat.parts == () and a.parts == ()
+    assert p == flat and hash(p) == hash(flat) and repr(p) == repr(flat)
+    assert serialize_program(p) == serialize_program(flat)
+    # a sum of sums lists leaves, never nested sums
+    assert (p + (b + a)).parts == (a, b, a, b, a)
+    assert replace(p, label="y").parts == ()
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 8, 13])
+def test_concatenate_equals_the_chain_of_additions(count):
+    blocks = [PulseProgram((Delay(1e-3 * (k % 3)),), "x", 0.5, (("k", str(k)),)) for k in range(3)]
+    programs = [blocks[k % 3] for k in range(count)]
+    chain = programs[0]
+    for q in programs[1:]:
+        chain = chain + q
+    joined = concatenate(iter(programs))
+    assert joined == chain and joined.meta == chain.meta
+    assert len(joined.parts) == len(chain.parts)
+    assert all(a is b for a, b in zip(joined.parts, chain.parts))
+
+
 def test_total_duration_realistic_adds_pulse_widths():
     sys = ideal_chain(88.0)
     realistic = SimulationSettings.make(mode="realistic")
@@ -156,3 +187,31 @@ def test_event_validator_errors_carry_line_number(bad, message):
     with pytest.raises(ProgramSyntaxError, match=f"^line 2: {message}$") as err:
         parse_program(f"delay 1ms\n{bad}\n")
     assert err.value.line == 2
+
+
+_ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
+_TARGETS = st.sets(st.sampled_from((1, 2, 3)), min_size=1).map(frozenset)
+_DURATION = st.floats(0.0, 1.0)
+_EVENT = st.one_of(
+    st.builds(HardPulse, _TARGETS, _ANGLE, _ANGLE),
+    st.builds(WeakPulse, _TARGETS, st.floats(0.0, 1e5), _DURATION, _ANGLE),
+    st.builds(Delay, _DURATION),
+    st.builds(ZRotation, st.sampled_from((1, 2, 3)), _ANGLE),
+)
+_WORD = st.text("abcXYZ019-+_.", min_size=1, max_size=12)
+_PROGRAMS = st.builds(
+    PulseProgram,
+    st.lists(_EVENT, max_size=30).map(tuple),
+    st.one_of(st.just(""), _WORD),
+    st.one_of(st.none(), st.floats(0.0, 2.0)),
+    st.lists(st.tuples(_WORD, _WORD), max_size=3).map(tuple),
+)
+
+
+@given(_PROGRAMS)
+def test_parse_serialize_is_idempotent(p):
+    text = serialize_program(p)
+    q = parse_program(text)
+    assert serialize_program(q) == text
+    assert (q.label, q.kappa, q.meta) == (p.label, p.kappa, p.meta)
+    assert [type(ev) for ev in q.events] == [type(ev) for ev in p.events]
