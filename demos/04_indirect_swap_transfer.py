@@ -11,7 +11,7 @@ import numpy as np
 from trispin import IDEAL, SimulationSettings, acetamide, eta_curve
 
 sys = acetamide()
-realistic = SimulationSettings.make(mode="realistic", rf_fwhm=0.10)
+realistic = SimulationSettings(mode="realistic", rf_fwhm=0.10)
 kappas = [round(0.1 * i, 10) for i in range(1, 21)]
 
 print("Transfer efficiency eta13 vs sequence duration tau (ms):")

@@ -25,7 +25,6 @@ from .pulseprog import (
     ZRotation,
     parse_program,
     serialize_program,
-    total_duration,
 )
 from .sequences import (
     VARIANTS,
@@ -57,6 +56,7 @@ from .engine import (
     propagator_of,
     propagator_stack,
     propagator_stacks,
+    total_duration,
 )
 from .metrics import eta_curve, fidelity, fig2_tables, transfer_efficiency
 

@@ -6,8 +6,10 @@ the offset terms, so each delay's offset evolution cancels exactly. The
 inserted pulses toggle the frame, so the phases of all subsequent original
 pulses (and the signs of z-rotations) are adjusted accordingly, and a
 trailing compensating pi pulse is appended when the total insertion count is
-odd. Pulse phases cycle through x, -x, -x, x so flip-angle errors of
-consecutive refocusing pulses cancel pairwise under rf inhomogeneity.
+odd. The refocusing cycle is fixed: pulse phases cycle through x, -x, -x, x
+so flip-angle errors of consecutive refocusing pulses cancel pairwise under
+rf inhomogeneity. Its phases are colinear, so any even number of inserted pi
+pulses composes to a global phase.
 
 dante_discretize replaces the geodesic sequence's weak pulse by a train of
 small hard pulses at the centers of equal sub-delays, which converges to the
@@ -24,6 +26,7 @@ from .sequences import build_uzzz, compose_swap13, geodesic_tau
 TWO_PI = 2.0 * math.pi
 _X = 0.0
 _MX = math.pi
+_CYCLE = (_X, _MX, _MX, _X)  # refocusing pi phases; its length divides every DANTE n
 
 
 def _check_segments(n: int):
@@ -33,7 +36,7 @@ def _check_segments(n: int):
 
 @dataclass(frozen=True)
 class BroadbandScheme:
-    """Refocusing phase cycle, DANTE segment count (n = 4m), pi placement.
+    """DANTE segment count (n = 4m) and pi placement.
 
     n is the one place a DANTE segment count is set; None picks
     default_dante_n for the program's kappa.
@@ -44,19 +47,10 @@ class BroadbandScheme:
     pulses) at the cost of slower offset convergence.
     """
 
-    cycle: tuple = (_X, _MX, _MX, _X)
     n: int | None = None
     sparse_pi: bool = False
 
     def __post_init__(self):
-        if not self.cycle:
-            raise ValueError("phase cycle must be nonempty")
-        for phi in self.cycle:
-            # phases must be colinear (+/-x) so any even number of inserted
-            # pi pulses composes to a global phase
-            if min(abs(math.fmod(phi, TWO_PI)), abs(abs(math.fmod(phi, TWO_PI)) - math.pi),
-                   abs(abs(math.fmod(phi, TWO_PI)) - TWO_PI)) > 1e-12:
-                raise ValueError("refocusing phases must be x or -x")
         if self.n is not None:
             _check_segments(self.n)
 
@@ -70,7 +64,7 @@ def default_dante_n(kappa: float, j: float) -> int:
     return max(4, 4 * math.ceil(20.0 * j * tau / 4.0))
 
 
-def refocus_offsets(p: PulseProgram, scheme: BroadbandScheme = DEFAULT_SCHEME) -> PulseProgram:
+def refocus_offsets(p: PulseProgram) -> PulseProgram:
     """Insert offset-refocusing pi pulses into every delay of an ideal program."""
     events = []
     inverted = False  # odd number of pi(1,2,3) insertions so far
@@ -78,7 +72,7 @@ def refocus_offsets(p: PulseProgram, scheme: BroadbandScheme = DEFAULT_SCHEME) -
 
     def next_pi():
         nonlocal cycle_i, inverted
-        phase = scheme.cycle[cycle_i % len(scheme.cycle)]
+        phase = _CYCLE[cycle_i % len(_CYCLE)]
         cycle_i += 1
         inverted = not inverted
         return HardPulse(frozenset({1, 2, 3}), math.pi, phase)
@@ -107,16 +101,16 @@ def refocus_offsets(p: PulseProgram, scheme: BroadbandScheme = DEFAULT_SCHEME) -
 
 
 def _dante_train(p: PulseProgram, n: int, label: str, transform: str,
-                 pi_phases: tuple = ()) -> PulseProgram:
+                 refocus: bool = False) -> PulseProgram:
     """p with its one weak pulse replaced by an n-segment DANTE train; the
     result is labelled label and records ("transform", transform) in its meta.
 
     Each segment is delay/2 - sub-pulse - delay/2, a midpoint discretization
-    of the simultaneous rf + coupling evolution. With pi_phases, a
-    refocusing pi(1,2,3) group cycling through those phases precedes each
+    of the simultaneous rf + coupling evolution. With refocus, a refocusing
+    pi(1,2,3) group cycling through the refocusing phases precedes each
     sub-pulse, whose phase is invariant under the frame toggles. The train
-    is one period object added n / period times: one segment, or one phase
-    cycle of segments when the cycle length divides n (else all n).
+    is one period object added n / period times: one segment, or with
+    refocus one phase cycle of segments.
     """
     _check_segments(n)
     weak = [ev for ev in p.events if isinstance(ev, WeakPulse)]
@@ -126,14 +120,12 @@ def _dante_train(p: PulseProgram, n: int, label: str, transform: str,
     flip_total = TWO_PI * wp.amplitude * wp.duration
     sub_delay = Delay(wp.duration / (2 * n))
     sub_pulse = HardPulse(wp.targets, flip_total / n, wp.phase)
-    size = len(pi_phases) or 1  # segments per period
-    if n % size:
-        size = n
+    size = len(_CYCLE) if refocus else 1  # segments per period
     period = []
     for i in range(size):
         period.append(sub_delay)
-        if pi_phases:
-            period.append(HardPulse(frozenset({1, 2, 3}), math.pi, pi_phases[i % len(pi_phases)]))
+        if refocus:
+            period.append(HardPulse(frozenset({1, 2, 3}), math.pi, _CYCLE[i]))
         period.extend((sub_pulse, sub_delay))
     period = PulseProgram(tuple(period), label, p.kappa)
     # with pi groups, the V_D / W rotations around the train sit where the
@@ -163,11 +155,11 @@ def broadband_geodesic(kappa: float, j: float,
     """
     p = build_uzzz("D", kappa, j)
     if not any(isinstance(ev, WeakPulse) for ev in p.events):
-        return refocus_offsets(p, scheme)  # kappa = 0: nothing to discretize
+        return refocus_offsets(p)  # kappa = 0: nothing to discretize
     n = scheme.n if scheme.n is not None else default_dante_n(kappa, j)
     if not scheme.sparse_pi:
-        return refocus_offsets(dante_discretize(p, n), scheme)
-    return _dante_train(p, n, f"{p.label}-bb", f"broadband-geodesic-n{n}", scheme.cycle)
+        return refocus_offsets(dante_discretize(p, n))
+    return _dante_train(p, n, f"{p.label}-bb", f"broadband-geodesic-n{n}", refocus=True)
 
 
 def broadband_uzzz(v: str, kappa: float, j: float,
@@ -175,7 +167,7 @@ def broadband_uzzz(v: str, kappa: float, j: float,
     """Offset-refocused U_zzz block of variant v (D: broadband_geodesic)."""
     if v == "D":
         return broadband_geodesic(kappa, j, scheme)
-    return refocus_offsets(build_uzzz(v, kappa, j), scheme)
+    return refocus_offsets(build_uzzz(v, kappa, j))
 
 
 def build_swap13_broadband(v: str, kappa: float, j: float,

@@ -14,13 +14,13 @@ import sys
 import numpy as np
 
 from . import broadband, metrics, sequences
-from .engine import DEFAULT_RF_AMPLITUDES, MAX_GRID_POINTS, SimulationSettings, propagator_stacks
+from .engine import (DEFAULT_RF_AMPLITUDES, MAX_GRID_POINTS, SimulationSettings, inclusive_grid,
+                     propagator_stacks)
 from .pulseprog import parse_program, serialize_program
 from .spinsys import SpinSystem, acetamide, ideal_chain, target_trilinear, swap13_target, spin_operator
 from .linalg import expm_generator
 
 USAGE_ERROR = 2
-MAX_KAPPA_POINTS = MAX_GRID_POINTS
 
 
 def _fmt(x: float) -> str:
@@ -43,13 +43,11 @@ def _parse_range(text: str):
         raise SystemExit(USAGE_ERROR)
     if stop < start:
         return []  # empty range: commands emit a header-only CSV
-    # round(span) + 1 points, counted before the grid is built; inf for a tiny step
-    span = (stop - start) / step
-    if span > MAX_KAPPA_POINTS or round(span) >= MAX_KAPPA_POINTS:
-        print(f"--kappa {text!r} spans more than {MAX_KAPPA_POINTS} grid points", file=sys.stderr)
+    try:
+        return [round(k, 12) for k in inclusive_grid(start, stop, step)]
+    except ValueError:
+        print(f"--kappa {text!r} spans more than {MAX_GRID_POINTS} grid points", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
-    return [round(start + i * step, 12) for i in range(round(span) + 1)
-            if start + i * step <= stop + 1e-12]
 
 
 def _load_config(path: str | None) -> dict:
@@ -126,7 +124,7 @@ def cmd_eta_sweep(args) -> int:
     cfg = _load_config(args.config)
     sys_ = SpinSystem(cfg["j12"], cfg["j23"], cfg["j13"],
                       cfg["nu1"], cfg["nu2"], cfg["nu3"])
-    settings = SimulationSettings.make(
+    settings = SimulationSettings(
         mode=args.mode,
         rf_amplitudes={"1H": cfg["rf_proton"], "15N": cfg["rf_hetero"]},
         rf_fwhm=cfg["rf_fwhm"] if args.mode == "realistic" else 0.0,

@@ -15,7 +15,7 @@ from itertools import groupby, islice
 import numpy as np
 
 from .linalg import expm_generator, hermiticity_defect, unitarity_defect
-from .pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, hard_pulse_width
+from .pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation
 from .spinsys import SpinSystem, free_hamiltonian, rf_hamiltonian, spin_operator
 
 TWO_PI = 2.0 * math.pi
@@ -25,26 +25,30 @@ _FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 DEFAULT_RF_AMPLITUDES = {"1H": 35700.0, "15N": 5500.0}
 
-# largest swept grid: offset_scan here, the CLI's kappa ranges
+# largest inclusive_grid: offset_scan's offsets, the CLI's kappa ranges
 MAX_GRID_POINTS = 10_000
 
 
 @dataclass(frozen=True)
 class SimulationSettings:
-    """Pulse realism mode, rf amplitudes per channel, inhomogeneity, offsets.
+    """Pulse realism mode, rf amplitudes per channel, inhomogeneity.
 
-    rf_fwhm is the full width at half height of the Gaussian rf-amplitude
-    distribution as a fraction of the nominal amplitude (0 disables the
-    ensemble); the grid spans +/- 2 sigma with rf_grid_points points.
+    rf_amplitudes, a mapping or (channel, Hz) pairs, is merged onto
+    DEFAULT_RF_AMPLITUDES and stored as sorted pairs, so settings stay
+    hashable. rf_fwhm is the full width at half height of the Gaussian
+    rf-amplitude distribution as a fraction of the nominal amplitude (0
+    disables the ensemble); the grid spans +/- 2 sigma with rf_grid_points
+    points.
     """
 
     mode: str = "ideal"
-    rf_amplitudes: tuple = tuple(sorted(DEFAULT_RF_AMPLITUDES.items()))
+    rf_amplitudes: tuple = ()
     rf_fwhm: float = 0.0
     rf_grid_points: int = 11
-    offset_overrides: tuple = ()  # ordered (spin, Hz) pairs
 
     def __post_init__(self):
+        amps = {**DEFAULT_RF_AMPLITUDES, **dict(self.rf_amplitudes)}
+        object.__setattr__(self, "rf_amplitudes", tuple(sorted(amps.items())))
         if self.mode not in ("ideal", "realistic"):
             raise ValueError(f"mode must be 'ideal' or 'realistic', got {self.mode!r}")
         # the engine exponentiates every pulse of a program in one batch, so
@@ -55,33 +59,51 @@ class SimulationSettings:
             if self.mode == "realistic" and amp <= 0:
                 raise ValueError(f"rf_amplitudes[{channel!r}] must be positive in realistic mode, "
                                  f"got {amp!r}")
-        for spin, nu in self.offset_overrides:
-            if spin not in (1, 2, 3):
-                raise ValueError(f"offset_overrides: spin index must be 1, 2 or 3, got {spin!r}")
-            if not math.isfinite(nu):
-                raise ValueError(f"offset_overrides[{spin}] must be finite, got {nu!r}")
         if not 0.0 <= self.rf_fwhm < 1.0:
             raise ValueError("rf_fwhm must be in [0, 1)")
         if self.rf_grid_points < 1 or self.rf_grid_points % 2 == 0:
             raise ValueError("rf_grid_points must be odd and positive")
 
-    @classmethod
-    def make(cls, mode="ideal", rf_amplitudes=None, rf_fwhm=0.0,
-             rf_grid_points=11, offset_overrides=None) -> "SimulationSettings":
-        amps = dict(DEFAULT_RF_AMPLITUDES)
-        if rf_amplitudes:
-            amps.update(rf_amplitudes)
-        overrides = tuple(sorted((offset_overrides or {}).items()))
-        return cls(mode, tuple(sorted(amps.items())), rf_fwhm, rf_grid_points, overrides)
-
     def amplitude_for(self, channel: str) -> float:
-        amps = dict(self.rf_amplitudes)
-        if channel not in amps:
-            raise ValueError(f"no rf amplitude configured for channel {channel!r}")
-        return amps[channel]
+        for name, amp in self.rf_amplitudes:
+            if name == channel:
+                return amp
+        raise ValueError(f"no rf amplitude configured for channel {channel!r}")
 
 
-IDEAL = SimulationSettings.make()
+IDEAL = SimulationSettings()
+
+
+def hard_pulse_width(ev: HardPulse, sys: SpinSystem, settings: SimulationSettings) -> float:
+    """Finite width (s) of a hard pulse: |flip| / (2 pi amplitude) per rf
+    channel it touches; a simultaneous multi-channel pulse is stretched to
+    its slowest channel."""
+    widths = []
+    for ch in {sys.channel_of(k) for k in ev.targets}:
+        amp = settings.amplitude_for(ch)
+        if amp <= 0:
+            raise ValueError(f"channel {ch!r} has no positive rf amplitude")
+        widths.append(abs(ev.flip) / (TWO_PI * amp))
+    return max(widths)
+
+
+def total_duration(p: PulseProgram, settings: SimulationSettings = IDEAL,
+                   sys: SpinSystem | None = None) -> float:
+    """Program duration in seconds.
+
+    Ideal mode: delays plus weak-pulse durations. Realistic mode: hard pulses
+    additionally take hard_pulse_width each; needs the spin system for the
+    spin -> channel map.
+    """
+    total = p.nominal_duration
+    if settings.mode == "ideal":
+        return total
+    if sys is None:
+        raise ValueError("realistic-mode duration needs the spin system for channel lookup")
+    for ev in p.events:
+        if isinstance(ev, HardPulse):
+            total += hard_pulse_width(ev, sys, settings)
+    return total
 
 
 def _lower(ev, sys: SpinSystem, settings: SimulationSettings, h0: np.ndarray):
@@ -157,8 +179,6 @@ def propagator_stacks(programs, sys: SpinSystem, settings: SimulationSettings = 
     """Yield each program's total propagators at the rf scales as a (B, 8, 8)
     stack; events compose right-to-left in time. Draws _CHUNK programs at a
     time and lowers them together. Ideal mode ignores scales."""
-    nus = dict(settings.offset_overrides)
-    sys = sys.with_offsets(*(nus.get(k, nu) for k, nu in enumerate(sys.offsets, 1)))
     h0 = free_hamiltonian(sys)
     rf_scales = np.asarray(scales, float) if settings.mode == "realistic" else np.ones(len(scales))
     programs = iter(programs)
@@ -207,14 +227,26 @@ def evolve(rho0: np.ndarray, p: PulseProgram, sys: SpinSystem,
     return next(evolve_many(rho0, (p,), sys, settings))
 
 
+def inclusive_grid(start: float, stop: float, step: float) -> list[float]:
+    """Points start + i * step up to stop, for finite values and step > 0. A
+    point past stop by rounding only, 1e-12 * max(1, |start|, |stop|), is
+    kept, so a grid that reaches stop ends there. Raises ValueError past
+    MAX_GRID_POINTS points."""
+    # round(span) + 1 points at most, counted before the grid is built; inf for a tiny step
+    span = (stop - start) / step
+    if span > MAX_GRID_POINTS or round(span) >= MAX_GRID_POINTS:
+        raise ValueError(f"grid spans more than {MAX_GRID_POINTS} points")
+    last = stop + 1e-12 * max(1.0, abs(start), abs(stop))
+    return [x for x in (start + i * step for i in range(round(span) + 1)) if x <= last]
+
+
 def offset_scan(p: PulseProgram, sys: SpinSystem, settings: SimulationSettings,
                 channel: str, start: float, stop: float, step: float,
                 metric) -> list[tuple[float, float]]:
     """Evaluate metric(program, shifted system, settings) over an offset grid.
 
     The grid shifts the offsets of all spins on the given channel by each
-    value in [start, stop] with the given step (inclusive endpoints), at most
-    MAX_GRID_POINTS values.
+    value of inclusive_grid(start, stop, step), at most MAX_GRID_POINTS values.
     """
     for name, value in (("start", start), ("stop", stop), ("step", step)):
         if not math.isfinite(value):
@@ -223,9 +255,8 @@ def offset_scan(p: PulseProgram, sys: SpinSystem, settings: SimulationSettings,
         raise ValueError("offset step must be positive")
     if stop < start:
         raise ValueError("empty offset range")
-    # round(span) + 1 points, counted before the grid is built; inf for a tiny step
-    span = (stop - start) / step
-    if span > MAX_GRID_POINTS or round(span) >= MAX_GRID_POINTS:
-        raise ValueError(f"offset grid spans more than {MAX_GRID_POINTS} points")
-    offsets = [start + i * step for i in range(round(span) + 1)]
+    try:
+        offsets = inclusive_grid(start, stop, step)
+    except ValueError as exc:
+        raise ValueError(f"offset {exc}") from None
     return [(o, float(metric(p, sys.shifted(channel, o), settings))) for o in offsets]

@@ -12,11 +12,6 @@ import numpy as np
 HERMITIAN_TOL = 1e-10
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product (a ⊗ b)."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def hermiticity_defect(a: np.ndarray) -> float:
     """Largest entrywise |a - a†| over one matrix or an (..., n, n) stack."""
     d = np.conj(a).swapaxes(-1, -2)  # a new array even for a real a, which stays untouched

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dataclasses import replace
-
-from .broadband import DEFAULT_SCHEME, build_swap13_broadband, default_dante_n
+from .broadband import BroadbandScheme, build_swap13_broadband, default_dante_n
 from .engine import IDEAL, SimulationSettings, evolve_many
 from .sequences import VARIANTS, build_swap13, duration_scaling, theoretical_limit
 from .spinsys import SpinSystem, spin_operator
@@ -34,21 +32,19 @@ def fidelity(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def eta_curve(v: str, kappas, sys: SpinSystem,
-              settings: SimulationSettings = IDEAL,
-              j: float | None = None,
-              scheme=DEFAULT_SCHEME) -> list[tuple[float, float]]:
+              settings: SimulationSettings = IDEAL) -> list[tuple[float, float]]:
     """(tau, eta13) pairs for the indirect-SWAP program over a kappa grid.
 
     Realistic mode (and any off-resonance system) uses the broadband program
     variants. tau is the nominal sequence duration (delays plus weak pulses)
     so ideal and realistic curves share the same duration axis, as in the
-    transfer-efficiency figures.
+    transfer-efficiency figures. The programs are built for the mean
+    coupling J = (J12 + J23) / 2.
     """
     kappas = list(kappas)
     if not kappas:
         raise ValueError("kappa grid must be nonempty")
-    if j is None:
-        j = 0.5 * (sys.j12 + sys.j23)
+    j = 0.5 * (sys.j12 + sys.j23)
     # off-resonance systems need the offset-refocused programs even with
     # ideal pulses, otherwise the detected phase of spin 3 precesses with
     # the sequence duration and scrambles the curve
@@ -56,11 +52,8 @@ def eta_curve(v: str, kappas, sys: SpinSystem,
     # one DANTE segment count for the whole sweep, sized for the largest
     # kappa, so the curve is not rippled by per-point discretization jumps;
     # with finite pulses the sparse pi placement keeps the pulse load sane
-    if v == "D" and broadband:
-        if scheme.n is None:
-            scheme = replace(scheme, n=default_dante_n(max(kappas), j))
-        if settings.mode == "realistic":
-            scheme = replace(scheme, sparse_pi=True)
+    n = default_dante_n(max(kappas), j) if v == "D" and broadband else None
+    scheme = BroadbandScheme(n=n, sparse_pi=settings.mode == "realistic")
     taus = []
 
     def programs():  # built lazily: the engine holds one lowering chunk of them at a time

@@ -298,36 +298,3 @@ def serialize_program(p: PulseProgram) -> str:
             raise TypeError(f"unknown event type {type(ev).__name__}")
     return "\n".join(lines) + "\n"
 
-
-def hard_pulse_width(ev: HardPulse, sys, settings) -> float:
-    """Finite width (s) of a hard pulse: |flip| / (2 pi amplitude) per rf
-    channel it touches; a simultaneous multi-channel pulse is stretched to
-    its slowest channel. sys maps spins to channels (SpinSystem.channel_of),
-    settings gives each channel's amplitude (SimulationSettings.amplitude_for).
-    """
-    widths = []
-    for ch in {sys.channel_of(k) for k in ev.targets}:
-        amp = settings.amplitude_for(ch)
-        if amp <= 0:
-            raise ValueError(f"channel {ch!r} has no positive rf amplitude")
-        widths.append(abs(ev.flip) / (TWO_PI * amp))
-    return max(widths)
-
-
-def total_duration(p: PulseProgram, settings=None, sys=None) -> float:
-    """Program duration in seconds.
-
-    Ideal mode (settings None or settings.mode == 'ideal'): delays plus
-    weak-pulse durations. Realistic mode: hard pulses additionally take
-    hard_pulse_width each; needs the spin system for the spin -> channel map.
-    """
-    realistic = settings is not None and getattr(settings, "mode", "ideal") == "realistic"
-    total = p.nominal_duration
-    if not realistic:
-        return total
-    if sys is None:
-        raise ValueError("realistic-mode duration needs the spin system for channel lookup")
-    for ev in p.events:
-        if isinstance(ev, HardPulse):
-            total += hard_pulse_width(ev, sys, settings)
-    return total

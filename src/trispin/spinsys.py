@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import expm_generator, kron
+from .linalg import expm_generator
 
 AXES = ("x", "y", "z")
 
@@ -101,7 +101,7 @@ def spin_operator(k: int, axis: str) -> np.ndarray:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
     factors = [_ID2, _ID2, _ID2]
     factors[k - 1] = 0.5 * _SIGMA[axis]
-    out = kron(kron(factors[0], factors[1]), factors[2])
+    out = np.kron(np.kron(factors[0], factors[1]), factors[2])
     out.setflags(write=False)
     return out
 

@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from trispin.engine import ensemble_scales
+from trispin.engine import ensemble_scales, hard_pulse_width
 from trispin.linalg import expm_generator, hermiticity_defect
-from trispin.pulseprog import Delay, HardPulse, WeakPulse, ZRotation, hard_pulse_width
+from trispin.pulseprog import Delay, HardPulse, WeakPulse, ZRotation
 from trispin.spinsys import free_hamiltonian, rf_hamiltonian, spin_operator
 
 TWO_PI = 2.0 * math.pi
@@ -64,15 +64,6 @@ def h0_diagonal_loops(j12, j23, j13, nu1, nu2, nu3):
     return diag
 
 
-def _apply_overrides(sys, settings):
-    if not settings.offset_overrides:
-        return sys
-    nus = list(sys.offsets)
-    for spin, nu in settings.offset_overrides:
-        nus[spin - 1] = nu
-    return sys.with_offsets(*nus)
-
-
 def _hard_pulse_unitary(ev, sys, settings, h0, rf_scale):
     if settings.mode == "ideal":
         return expm_generator(rf_hamiltonian(ev.targets, 1.0 / TWO_PI, ev.phase), ev.flip)
@@ -88,7 +79,6 @@ def _hard_pulse_unitary(ev, sys, settings, h0, rf_scale):
 
 def propagator_loop(p, sys, settings, rf_scale=1.0):
     """Total propagator of the program; events compose right-to-left in time."""
-    sys = _apply_overrides(sys, settings)
     h0 = free_hamiltonian(sys)
     h0_diag = np.diag(h0).copy()
     cache: dict = {}

@@ -107,7 +107,7 @@ def test_criterion_7_broadband_robustness():
 
 def test_criterion_8_realistic_curves_qualitative():
     sys = acetamide()
-    realistic = SimulationSettings.make(mode="realistic", rf_fwhm=0.10)
+    realistic = SimulationSettings(mode="realistic", rf_fwhm=0.10)
     kappas = [round(0.05 * i, 10) for i in range(2, 41)]
     details = []
     for v in ("A", "C", "D"):

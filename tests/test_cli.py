@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from trispin import cli
+from trispin.engine import MAX_GRID_POINTS
 from trispin.pulseprog import HardPulse, parse_program, serialize_program
 
 
@@ -221,7 +222,7 @@ def test_oversized_kappa_grid_rejected_before_it_is_built(capsys, command, kappa
 
 
 def test_kappa_grid_cap_is_inclusive():
-    assert len(cli._parse_range(f"0:{cli.MAX_KAPPA_POINTS - 1}:1")) == cli.MAX_KAPPA_POINTS
+    assert len(cli._parse_range(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
 
 
 def test_identity_suite_builds_each_target_once(monkeypatch):

@@ -37,7 +37,7 @@ from oracles import evolve_loop, propagator_loop
 
 J = 88.0
 SYS = ideal_chain(J)
-REALISTIC = SimulationSettings.make(mode="realistic", rf_fwhm=0.10)
+REALISTIC = SimulationSettings(mode="realistic", rf_fwhm=0.10)
 
 
 def test_empty_program_is_identity():
@@ -66,7 +66,7 @@ def test_concatenation_homomorphism():
 
 
 def test_ideal_mode_ignores_rf_amplitudes():
-    weird = SimulationSettings.make(rf_amplitudes={"1H": 1.0, "15N": 2.0})
+    weird = SimulationSettings(rf_amplitudes={"1H": 1.0, "15N": 2.0})
     p = build_swap13("C", 1.0, J)
     assert np.allclose(propagator_of(p, SYS, weird), propagator_of(p, SYS, IDEAL))
 
@@ -104,32 +104,32 @@ def test_ensemble_grid_shape_and_symmetry():
     scales0, weights0 = ensemble_scales(IDEAL)
     assert list(scales0) == [1.0] and list(weights0) == [1.0]
     # a FWHM so small that sigma**2 underflows still gives finite weights
-    tiny = SimulationSettings.make(mode="realistic", rf_fwhm=1e-300, rf_grid_points=3)
+    tiny = SimulationSettings(mode="realistic", rf_fwhm=1e-300, rf_grid_points=3)
     scales_t, weights_t = ensemble_scales(tiny)
     assert list(scales_t) == [1.0, 1.0, 1.0] and weights_t.sum() == pytest.approx(1.0)
     # ideal pulses do not see the rf amplitude: one point whatever the FWHM
-    ideal_wide = SimulationSettings.make(mode="ideal", rf_fwhm=0.10)
+    ideal_wide = SimulationSettings(mode="ideal", rf_fwhm=0.10)
     assert [list(a) for a in ensemble_scales(ideal_wide)] == [[1.0], [1.0]]
 
 
 def test_realistic_finite_pulse_width_effect():
     # a realistic 180 on spin 2 takes 1/(2*5500) s, during which couplings run
     p = PulseProgram((HardPulse(frozenset({2}), math.pi, 0.0),))
-    u_ideal = propagator_of(p, SYS, SimulationSettings.make(mode="ideal"))
-    u_real = propagator_of(p, SYS, SimulationSettings.make(mode="realistic"))
+    u_ideal = propagator_of(p, SYS, SimulationSettings(mode="ideal"))
+    u_real = propagator_of(p, SYS, SimulationSettings(mode="realistic"))
     assert fidelity(u_ideal, u_real) < 1.0 - 1e-6
     assert fidelity(u_ideal, u_real) > 0.99
 
 
 def test_settings_validation():
     with pytest.raises(ValueError):
-        SimulationSettings.make(mode="exact")
+        SimulationSettings(mode="exact")
     with pytest.raises(ValueError):
-        SimulationSettings.make(rf_fwhm=1.5)
+        SimulationSettings(rf_fwhm=1.5)
     with pytest.raises(ValueError):
-        SimulationSettings.make(rf_grid_points=4)
+        SimulationSettings(rf_grid_points=4)
     with pytest.raises(ValueError):
-        SimulationSettings.make(mode="realistic", rf_amplitudes={"1H": 0.0})
+        SimulationSettings(mode="realistic", rf_amplitudes={"1H": 0.0})
     with pytest.raises(ValueError):
         IDEAL.amplitude_for("13C")
 
@@ -138,18 +138,18 @@ def test_settings_validation():
 @pytest.mark.parametrize("amp", [math.nan, math.inf, -math.inf])
 def test_settings_reject_non_finite_rf_amplitude(mode, amp):
     with pytest.raises(ValueError, match=r"rf_amplitudes\['1H'\] must be finite"):
-        SimulationSettings.make(mode=mode, rf_amplitudes={"1H": amp})
+        SimulationSettings(mode=mode, rf_amplitudes={"1H": amp})
 
 
-@pytest.mark.parametrize("overrides, match", [
-    ({7: 10.0}, r"offset_overrides: spin index must be 1, 2 or 3, got 7"),
-    ({0: 10.0}, r"offset_overrides: spin index must be 1, 2 or 3, got 0"),
-    ({2: math.nan}, r"offset_overrides\[2\] must be finite, got nan"),
-    ({3: math.inf}, r"offset_overrides\[3\] must be finite, got inf"),
-])
-def test_settings_reject_bad_offset_overrides(overrides, match):
-    with pytest.raises(ValueError, match=match):
-        SimulationSettings.make(mode="realistic", offset_overrides=overrides)
+def test_settings_merge_a_mapping_or_pairs_onto_the_defaults():
+    from_dict = SimulationSettings(rf_amplitudes={"1H": 3.0})
+    from_pairs = SimulationSettings(rf_amplitudes=(("1H", 3.0),))
+    assert from_dict == from_pairs and hash(from_dict) == hash(from_pairs)
+    assert from_dict.rf_amplitudes == (("15N", 5500.0), ("1H", 3.0))
+    assert from_dict.amplitude_for("1H") == 3.0 and from_dict.amplitude_for("15N") == 5500.0
+    assert repr(IDEAL) == ("SimulationSettings(mode='ideal', rf_amplitudes=(('15N', 5500.0), "
+                           "('1H', 35700.0)), rf_fwhm=0.0, rf_grid_points=11)")
+    assert replace(from_dict, mode="realistic").rf_amplitudes == from_dict.rf_amplitudes
 
 
 def _fid_metric(p, sys, settings):
@@ -209,6 +209,19 @@ def test_offset_scan_cap_is_inclusive():
         offset_scan(PulseProgram(), SYS, IDEAL, "1H", 0.0, 10000.0, 1.0, lambda *args: 0.0)
 
 
+@pytest.mark.parametrize("start, stop, step, points", [
+    (-500.0, 500.0, 150.0, 7),  # 1000 / 150 = 6.67 steps rounds to 7; an 8th point would be 550
+    (0.0, 1.0, 0.35, 3),
+    (-1750.0, 1750.0, 350.0, 11),
+    (-6587.9, 3102.4, 2.7, 3590),  # the last point passes stop by 1.4e-12, a rounding error
+])
+def test_offset_scan_stays_within_the_range(start, stop, step, points):
+    curve = offset_scan(PulseProgram(), SYS, IDEAL, "1H", start, stop, step, lambda *args: 0.0)
+    offsets = [o for o, _ in curve]
+    assert len(offsets) == points and offsets[0] == start
+    assert all(o <= stop or math.isclose(o, stop, rel_tol=1e-14) for o in offsets)
+
+
 # ---------------------------------------------------------------------------
 # Batched engine against the per-event loop oracle on random programs
 
@@ -229,14 +242,16 @@ _EVENTS = st.one_of(
         lambda pool: st.lists(st.sampled_from(pool), max_size=40)),
 )
 _PROGRAMS = _EVENTS.map(lambda events: PulseProgram(tuple(events)))
-_SYSTEMS = st.sampled_from((SYS, acetamide(), SpinSystem(88.0, 85.0, 3.0, 120.0, -250.0, 410.0)))
+_BASE_SYSTEMS = st.sampled_from((SYS, acetamide(), SpinSystem(88.0, 85.0, 3.0, 120.0, -250.0, 410.0)))
+_OFFSET = st.floats(-1000.0, 1000.0)
+_SYSTEMS = _BASE_SYSTEMS | st.builds(lambda sys, nus: sys.with_offsets(*nus),
+                                     _BASE_SYSTEMS, st.tuples(_OFFSET, _OFFSET, _OFFSET))
 _SETTINGS = st.builds(
-    SimulationSettings.make,
+    SimulationSettings,
     mode=st.sampled_from(("ideal", "realistic")),
     rf_amplitudes=st.fixed_dictionaries({"1H": st.floats(5e3, 5e4), "15N": st.floats(1e3, 1e4)}),
     rf_fwhm=st.floats(0.0, 0.3),
     rf_grid_points=st.sampled_from((1, 3, 5, 7, 9, 11, 13)),
-    offset_overrides=st.dictionaries(st.sampled_from((1, 2, 3)), st.floats(-1000.0, 1000.0)),
 )
 _SCALES = st.lists(st.floats(0.5, 1.5), min_size=1, max_size=7)
 _RNG = np.random.default_rng(11)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from trispin.linalg import expm_generator, hermiticity_defect, kron, unitarity_defect
+from trispin.linalg import expm_generator, hermiticity_defect, unitarity_defect
+from trispin.spinsys import spin_operator
 
 from oracles import expm_taylor, kron_loops
 
@@ -13,10 +14,18 @@ def random_hermitian(n=8):
     return 0.5 * (a + a.conj().T)
 
 
+_HALF_PAULI = {"x": np.array([[0, 0.5], [0.5, 0]]), "y": np.array([[0, -0.5j], [0.5j, 0]]),
+               "z": np.array([[0.5, 0], [0, -0.5]])}
+
+
 def test_kron_matches_loop_oracle():
-    a = RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2))
-    b = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
-    assert np.allclose(kron(a, b), kron_loops(a, b), atol=1e-13)
+    # spin 1 is the leftmost Kronecker factor: the basis ordering
+    for k in (1, 2, 3):
+        for axis, op in _HALF_PAULI.items():
+            factors = [np.eye(2)] * 3
+            factors[k - 1] = op
+            want = kron_loops(kron_loops(factors[0], factors[1]), factors[2])
+            assert np.array_equal(spin_operator(k, axis), want)
 
 
 @pytest.mark.parametrize("t", [0.0, 1e-3, 0.7, 12.0])

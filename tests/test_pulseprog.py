@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trispin.broadband import eliminate_z_rotations, receiver_phases
-from trispin.engine import SimulationSettings
+from trispin.engine import SimulationSettings, total_duration
 from trispin.pulseprog import (
     Delay,
     HardPulse,
@@ -16,7 +16,6 @@ from trispin.pulseprog import (
     parse_program,
     serialize_program,
     concatenate,
-    total_duration,
 )
 from trispin.sequences import VARIANTS, build_swap13, build_uzzz
 from trispin.spinsys import ideal_chain
@@ -164,7 +163,7 @@ def test_concatenate_equals_the_chain_of_additions(count):
 
 def test_total_duration_realistic_adds_pulse_widths():
     sys = ideal_chain(88.0)
-    realistic = SimulationSettings.make(mode="realistic")
+    realistic = SimulationSettings(mode="realistic")
     p90 = PulseProgram((HardPulse(frozenset({1}), math.pi / 2, 0.0),))
     # 90 degrees at 35.7 kHz: 0.25 / 35700 s
     assert total_duration(p90, realistic, sys) == pytest.approx(7.0028e-6, rel=1e-4)

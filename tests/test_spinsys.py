@@ -95,3 +95,8 @@ def test_system_helpers():
     shifted = sys.shifted("1H", 100.0)
     assert shifted.offsets == (100.0, 0.0, 100.0)
     assert sys.with_offsets(1.0, 2.0, 3.0).offsets == (1.0, 2.0, 3.0)
+    # offsets are set on the system only, so it is where non-finite ones stop
+    with pytest.raises(ValueError, match="nu2 must be finite, got nan"):
+        sys.with_offsets(0.0, float("nan"), 0.0)
+    with pytest.raises(ValueError, match="nu1 must be finite, got inf"):
+        sys.shifted("1H", float("inf"))
