@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, concatenate
-from .sequences import build_uzzz, compose_swap13, geodesic_tau
+from .sequences import _check_j, _check_kappa, build_uzzz, compose_swap13, geodesic_tau
 
 TWO_PI = 2.0 * math.pi
 _X = 0.0
@@ -60,6 +60,8 @@ DEFAULT_SCHEME = BroadbandScheme()
 
 def default_dante_n(kappa: float, j: float) -> int:
     """Smallest multiple of 4 with sub-delay <= 1/(20 J)."""
+    _check_kappa(kappa)
+    _check_j(j)
     tau = geodesic_tau(kappa) / j
     return max(4, 4 * math.ceil(20.0 * j * tau / 4.0))
 
@@ -216,10 +218,11 @@ def eliminate_z_rotations(p: PulseProgram) -> PulseProgram:
     """Absorb ZRotation events into the phases of all later pulses.
 
     exp{-i phi I_kz} commutes with free evolution and shifts the axis of any
-    later rotation on spin k by -phi. A pulse whose targets carry different
-    accumulated angles is split into per-angle pulses (its terms commute).
-    Leftover angles are reported as per-spin receiver phases in the program
-    metadata.
+    later rotation on spin k by -phi. A hard pulse whose targets carry
+    different accumulated angles is split into simultaneous per-angle pulses,
+    exact for ideal pulses (its terms commute); a weak pulse cannot be split
+    without changing its timing, so that raises ValueError. Leftover angles
+    are reported as per-spin receiver phases in the program metadata.
     """
     acc = {1: 0.0, 2: 0.0, 3: 0.0}
     events = []
@@ -230,6 +233,9 @@ def eliminate_z_rotations(p: PulseProgram) -> PulseProgram:
             groups: dict[float, set] = {}
             for k in sorted(ev.targets):
                 groups.setdefault(acc[k], set()).add(k)
+            if len(groups) > 1 and isinstance(ev, WeakPulse):
+                raise ValueError(f"weak pulse on spins {sorted(ev.targets)} meets different "
+                                 f"z-rotation angles {[acc[k] for k in sorted(ev.targets)]}")
             for phi, spins in sorted(groups.items()):
                 events.append(replace(ev, targets=frozenset(spins),
                                       phase=(ev.phase - phi) % TWO_PI))

@@ -106,25 +106,34 @@ def total_duration(p: PulseProgram, settings: SimulationSettings = IDEAL,
     return total
 
 
+_IZ = {k: np.diag(spin_operator(k, "z")).real for k in (1, 2, 3)}
+_FZ = sum(_IZ.values())  # diagonal of R = I1z + I2z + I3z
+# R turns the rf axis and commutes with a diagonal H0, and a pulse conserves the Iz of
+# each spin it leaves alone. So a pulse at phase phi is exp(-i phi R) U(0) exp(i phi R):
+# its phase-0 propagator times exp(-i phi _SPREAD), entrywise
+_SPREAD = _FZ[:, None] - _FZ
+
+
 def _lower(ev, sys: SpinSystem, settings: SimulationSettings, h0: np.ndarray):
     """A Delay, a ZRotation or a zero-width pulse as its diagonal phase angles;
-    any other pulse as (weight of H0, rf term at unit scale, time)."""
+    any other pulse as its phase-free key (weight of H0, targets, rf amplitude
+    at unit scale, time) and its rf phase."""
     if isinstance(ev, Delay):
-        return np.diag(h0).real * ev.duration
+        return np.diag(h0) * ev.duration
     if isinstance(ev, ZRotation):
-        return ev.angle * np.diag(spin_operator(ev.target, "z")).real
+        return ev.angle * _IZ[ev.target]
     if isinstance(ev, WeakPulse):
-        return 1.0, rf_hamiltonian(ev.targets, ev.amplitude, ev.phase), ev.duration
+        return (1.0, ev.targets, ev.amplitude, ev.duration), ev.phase
     if not isinstance(ev, HardPulse):
         raise TypeError(f"unknown event type {type(ev).__name__}")
     if settings.mode == "ideal":
-        return 0.0, rf_hamiltonian(ev.targets, 1.0 / TWO_PI, ev.phase), ev.flip
+        return (0.0, ev.targets, 1.0 / TWO_PI, ev.flip), ev.phase
     # Finite pulse of hard_pulse_width, every channel's rf stretched to it; the
     # rf scale multiplies the delivered amplitude, not the programmed duration.
     width = hard_pulse_width(ev, sys, settings)
     if width == 0.0:
         return np.zeros(8)
-    return 1.0, rf_hamiltonian(ev.targets, ev.flip / (TWO_PI * width), ev.phase), width
+    return (1.0, ev.targets, ev.flip / (TWO_PI * width), width), ev.phase
 
 
 # programs lowered together; bounds the transient arrays, so a long sweep runs in constant memory
@@ -134,8 +143,9 @@ _CHUNK = 8
 def _lower_chunk(chunk, sys: SpinSystem, settings: SimulationSettings, h0, rf_scales):
     """(K, B, 8, 8) propagators of K programs. Each distinct leaf (a program's
     parts, or the program itself when it has none) is chained once: distinct
-    events lowered once, one exp for all delay/z-rotation phases and one eigh
-    for all pulses at all scales, one row scaling per diagonal run and one
+    events lowered once, one exp for all delay/z-rotation phases, one real eigh
+    for all phase-free pulse classes at all scales (sound because h0 is diagonal)
+    and one exp for all pulse phases, one row scaling per diagonal run and one
     matmul per pulse event. Then one matmul per part of each program."""
     leaves = {id(leaf): leaf for p in chunk for leaf in p.parts or (p,)}
     index: dict = {}
@@ -147,10 +157,15 @@ def _lower_chunk(chunk, sys: SpinSystem, settings: SimulationSettings, h0, rf_sc
         ops[i] = phases
     pulses = [i for i, op in enumerate(ops) if isinstance(op, tuple)]
     if pulses:
-        h0_weight, rf, t = (np.array(x) for x in zip(*(ops[i] for i in pulses)))
+        keys, phis = zip(*(ops[i] for i in pulses))
+        classes = {key: c for c, key in enumerate(dict.fromkeys(keys))}
+        h0_weight, targets, amp, t = zip(*classes)
+        rf = np.array([rf_hamiltonian(s, a, 0.0).real for s, a in zip(targets, amp)])
         # built in the call, which then holds the generators' only reference
-        stacks = expm_generator(h0_weight[:, None, None, None] * h0
-                                + rf_scales[:, None, None] * rf[:, None], t[:, None])
+        class_stacks = expm_generator(np.array(h0_weight)[:, None, None, None] * h0
+                                      + rf_scales[:, None, None] * rf[:, None], np.array(t)[:, None])
+        stacks = class_stacks[[classes[key] for key in keys]]
+        stacks *= np.exp(-1j * np.array(phis)[:, None, None] * _SPREAD)[:, None]
         for i, stack in zip(pulses, stacks):
             ops[i] = stack
     chained = {}
@@ -179,7 +194,7 @@ def propagator_stacks(programs, sys: SpinSystem, settings: SimulationSettings = 
     """Yield each program's total propagators at the rf scales as a (B, 8, 8)
     stack; events compose right-to-left in time. Draws _CHUNK programs at a
     time and lowers them together. Ideal mode ignores scales."""
-    h0 = free_hamiltonian(sys)
+    h0 = free_hamiltonian(sys).real
     rf_scales = np.asarray(scales, float) if settings.mode == "realistic" else np.ones(len(scales))
     programs = iter(programs)
     while chunk := list(islice(programs, _CHUNK)):

@@ -27,11 +27,11 @@ def unitarity_defect(u: np.ndarray) -> float:
 def expm_generator(h: np.ndarray, t) -> np.ndarray:
     """exp(-i h t) for Hermitian generators h (rad/s) and durations t (s).
 
-    h is one matrix or an (..., n, n) stack and t broadcasts against
-    h.shape[:-2]; one eigh covers the stack. Raises ValueError if h is not
-    Hermitian within HERMITIAN_TOL, reporting the largest asymmetry.
+    h is one real or complex matrix or (..., n, n) stack and t broadcasts
+    against h.shape[:-2]; one eigh covers the stack. Raises ValueError if h is
+    not Hermitian within HERMITIAN_TOL, reporting the largest asymmetry.
     """
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)  # real: a real eigh
     defect = hermiticity_defect(h)
     if defect > HERMITIAN_TOL:
         raise ValueError(

@@ -157,11 +157,10 @@ def test_dante_discretize_repeats_one_segment():
 
 
 _ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
-_DELAY_PULSE_PROGRAMS = st.lists(st.one_of(
-    st.builds(HardPulse, st.sets(st.sampled_from((1, 2, 3)), min_size=1).map(frozenset),
-              _ANGLE, _ANGLE),
-    st.builds(Delay, st.floats(0.0, 1.0 / J)),
-), max_size=12).map(lambda events: PulseProgram(tuple(events)))
+_HARD_PULSE = st.builds(HardPulse, st.sets(st.sampled_from((1, 2, 3)), min_size=1).map(frozenset),
+                        _ANGLE, _ANGLE)
+_DELAY = st.builds(Delay, st.floats(0.0, 1.0 / J))
+_DELAY_PULSE_PROGRAMS = st.lists(st.one_of(_HARD_PULSE, _DELAY), max_size=12).map(lambda events: PulseProgram(tuple(events)))
 
 
 @given(_DELAY_PULSE_PROGRAMS, st.sampled_from((CHAIN, SpinSystem(88.0, 85.0, 3.0, 0.0, 0.0, 0.0))))
@@ -243,6 +242,24 @@ def test_eliminate_z_rotations_equivalence():
     assert fidelity(u, z @ v) >= 1.0 - 1e-10
 
 
+def test_eliminate_z_rotations_rejects_a_weak_pulse_on_mixed_angles():
+    # splitting it would run the two halves one after the other: 3 ms became 5 ms
+    p = PulseProgram((ZRotation(1, 0.7), WeakPulse(frozenset({1, 3}), 200.0, 2e-3, 0.0),
+                      Delay(1e-3)))
+    with pytest.raises(ValueError, match=r"weak pulse on spins \[1, 3\]"):
+        eliminate_z_rotations(p)
+
+
+def test_eliminate_z_rotations_keeps_a_weak_pulse_on_equal_angles():
+    p = PulseProgram((ZRotation(1, 0.7), ZRotation(3, 0.7),
+                      WeakPulse(frozenset({1, 3}), 200.0, 2e-3, 0.0), Delay(1e-3)))
+    q = eliminate_z_rotations(p)
+    assert q.events == (WeakPulse(frozenset({1, 3}), 200.0, 2e-3, (-0.7) % (2 * math.pi)),
+                        Delay(1e-3))
+    z = expm_generator(0.7 * (spin_operator(1, "z") + spin_operator(3, "z")), 1.0)
+    assert fidelity(z @ propagator_of(q, OFFSET_SYS), propagator_of(p, OFFSET_SYS)) >= 1.0 - 1e-10
+
+
 def test_eliminate_z_rotations_splits_mixed_target_pulses():
     p = PulseProgram((ZRotation(1, 0.4),
                       HardPulse(frozenset({1, 3}), math.pi / 2, 0.0)))
@@ -252,3 +269,24 @@ def test_eliminate_z_rotations_splits_mixed_target_pulses():
     assert {tuple(sorted(e.targets)) for e in pulses} == {(1,), (3,)}
     z = expm_generator(0.4 * spin_operator(1, "z"), 1.0)
     assert fidelity(propagator_of(p, CHAIN), z @ propagator_of(q, CHAIN)) >= 1.0 - 1e-10
+
+
+# weak pulses on one spin never meet mixed angles; hard pulses on any targets do
+_Z_PROGRAMS = st.lists(st.one_of(
+    _HARD_PULSE,
+    st.builds(WeakPulse, st.sampled_from((1, 2, 3)).map(lambda k: frozenset({k})),
+              st.floats(0.0, 500.0), st.floats(0.0, 1.0 / J), _ANGLE),
+    _DELAY,
+    st.builds(ZRotation, st.sampled_from((1, 2, 3)), _ANGLE),
+), max_size=16).map(lambda events: PulseProgram(tuple(events)))
+
+
+@given(_Z_PROGRAMS, st.sampled_from((CHAIN, OFFSET_SYS)))
+def test_eliminate_z_rotations_keeps_the_ideal_propagator(p, sys):
+    q = eliminate_z_rotations(p)
+    assert not any(isinstance(ev, ZRotation) for ev in q.events)
+    assert q.nominal_duration == p.nominal_duration
+    rz = sum((phi * spin_operator(k, "z") for k, phi in receiver_phases(q).items()),
+             np.zeros((8, 8)))
+    z = expm_generator(rz, 1.0)
+    assert fidelity(z @ propagator_of(q, sys), propagator_of(p, sys)) >= 1.0 - 1e-10

@@ -156,6 +156,21 @@ def test_verify_suites_pass(capsys, suite):
     assert "tol" in out  # per-check tolerance printed
 
 
+def test_verify_prints_residues_below_the_floor_as_the_floor(capsys, monkeypatch):
+    checks = [("zero", 0.0, 0.0), ("negative", -2e-16, 1e-9), ("noise", 5e-15, 1e-9),
+              ("above", 2.5e-13, 1e-9), ("fails", 5e-14, 1e-14)]
+    monkeypatch.setitem(cli.SUITES, "fake", lambda j: checks)
+    assert cli.main(["verify", "fake"]) == 1  # judged on the raw value, not the shown one
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS  zero: 1.000e-13 (tol 0e+00)",
+        "PASS  negative: 1.000e-13 (tol 1e-09)",
+        "PASS  noise: 1.000e-13 (tol 1e-09)",
+        "PASS  above: 2.500e-13 (tol 1e-09)",
+        "FAIL  fails: 1.000e-13 (tol 1e-14)",
+    ]
+    assert cli.RESIDUE_FLOOR == 1e-13
+
+
 def test_verify_unknown_suite(capsys):
     assert cli.main(["verify", "nosuch"]) == 2
 

@@ -15,6 +15,7 @@ from trispin.engine import (
     ensemble_scales,
     evolve,
     evolve_many,
+    hard_pulse_width,
     offset_scan,
     propagator_of,
     propagator_stack,
@@ -29,11 +30,12 @@ from trispin.spinsys import (
     acetamide,
     free_hamiltonian,
     ideal_chain,
+    rf_hamiltonian,
     spin_operator,
     target_trilinear,
 )
 
-from oracles import evolve_loop, propagator_loop
+from oracles import evolve_loop, expm_taylor, h0_diagonal_loops, propagator_loop
 
 J = 88.0
 SYS = ideal_chain(J)
@@ -302,6 +304,51 @@ def test_evolve_many_matches_evolve_loop(programs, sys, settings, rho0):
     assert len(rhos) == len(programs)
     for p, rho in zip(programs, rhos):
         assert np.max(np.abs(rho - evolve_loop(rho0, p, sys, settings))) < 1e-12
+
+
+_ONE_PULSE = st.one_of(
+    st.builds(HardPulse, _TARGETS, _ANGLE, _ANGLE),
+    st.builds(WeakPulse, _TARGETS, st.floats(0.0, 2000.0), _DURATION, _ANGLE),
+)
+
+
+@given(_ONE_PULSE, _SYSTEMS, _SETTINGS, _SCALES)
+def test_pulse_unitaries_match_the_taylor_oracle(ev, sys, settings, scales):
+    # the engine exponentiates the phase-0 pulse and restores the phase entrywise;
+    # the oracle exponentiates the complex generator at the pulse's phase directly
+    h0 = np.diag(h0_diagonal_loops(sys.j12, sys.j23, sys.j13, *sys.offsets))
+    stack = propagator_stack(PulseProgram((ev,)), sys, settings, scales)
+    for u, c in zip(stack, scales):
+        c = c if settings.mode == "realistic" else 1.0
+        if isinstance(ev, WeakPulse):
+            h, t = h0 + rf_hamiltonian(ev.targets, c * ev.amplitude, ev.phase), ev.duration
+        elif settings.mode == "ideal":
+            h, t = rf_hamiltonian(ev.targets, 1.0 / (2 * math.pi), ev.phase), ev.flip
+        else:
+            t = hard_pulse_width(ev, sys, settings)
+            amp = c * ev.flip / (2 * math.pi * t) if t else 0.0
+            h = h0 + rf_hamiltonian(ev.targets, amp, ev.phase)
+        assert np.max(np.abs(u - expm_taylor(h, t))) < 1e-12
+
+
+def test_one_real_eigh_per_phase_free_pulse(monkeypatch):
+    eigh, calls = np.linalg.eigh, []
+
+    def counted(a, *args, **kwargs):
+        calls.append((a.dtype, math.prod(a.shape[:-2])))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    sys, kappas = acetamide(), [0.2, 0.25, 0.3, 0.35]  # one chunk of the sparse D sweep
+    eta_curve("D", kappas, sys, REALISTIC)
+    j = 0.5 * (sys.j12 + sys.j23)
+    scheme = BroadbandScheme(n=default_dante_n(max(kappas), j), sparse_pi=True)
+    pulses = {ev for kappa in kappas for ev in build_swap13_broadband("D", kappa, j, scheme).events
+              if isinstance(ev, WeakPulse) or isinstance(ev, HardPulse) and ev.flip != 0.0}
+    classes = {replace(ev, phase=0.0) for ev in pulses}
+    points = REALISTIC.rf_grid_points
+    assert [dtype for dtype, _ in calls] == [np.float64]
+    assert calls[0][1] == points * len(classes) < points * len(pulses)
 
 
 def test_sweep_longer_than_a_chunk_equals_points_one_at_a_time():

@@ -75,6 +75,13 @@ def test_eta_curve_rejects_empty_grid():
         eta_curve("A", [], SYS)
 
 
+@pytest.mark.parametrize("kappa", [-0.5, float("nan")])
+def test_eta_curve_d_off_resonance_names_a_bad_kappa(kappa):
+    # the DANTE segment count is sized from max(kappas) before any program is built
+    with pytest.raises(ValueError, match=r"kappa must be in \[0, 2\], got"):
+        eta_curve("D", [kappa], acetamide())
+
+
 def test_fig2_tables_kappa_one_row():
     row, = fig2_tables([1.0])
     assert row["s_A"] == pytest.approx(2.0 / 3.0, abs=1e-3)
