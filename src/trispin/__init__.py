@@ -23,6 +23,7 @@ from .pulseprog import (
     PulseProgram,
     WeakPulse,
     ZRotation,
+    join,
     parse_program,
     serialize_program,
 )

@@ -20,13 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, concatenate
+from .pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, join
 from .sequences import _check_j, _check_kappa, build_uzzz, compose_swap13, geodesic_tau
 
 TWO_PI = 2.0 * math.pi
 _X = 0.0
-_MX = math.pi
-_CYCLE = (_X, _MX, _MX, _X)  # refocusing pi phases; its length divides every DANTE n
+# the refocusing pi(1,2,3) pulses in turn (x, -x, -x, x); their count divides every DANTE n
+_CYCLE = tuple(HardPulse(frozenset({1, 2, 3}), math.pi, phase) for phase in (_X, math.pi, math.pi, _X))
 
 
 def _check_segments(n: int):
@@ -66,40 +66,46 @@ def default_dante_n(kappa: float, j: float) -> int:
     return max(4, 4 * math.ceil(20.0 * j * tau / 4.0))
 
 
-def refocus_offsets(p: PulseProgram) -> PulseProgram:
-    """Insert offset-refocusing pi pulses into every delay of an ideal program."""
-    events = []
-    inverted = False  # odd number of pi(1,2,3) insertions so far
-    cycle_i = 0
-
-    def next_pi():
-        nonlocal cycle_i, inverted
-        phase = _CYCLE[cycle_i % len(_CYCLE)]
-        cycle_i += 1
-        inverted = not inverted
-        return HardPulse(frozenset({1, 2, 3}), math.pi, phase)
-
-    for ev in p.events:
+def _refocus_leaf(leaf: PulseProgram, start: int) -> tuple[PulseProgram, int]:
+    """leaf with a refocusing pi in the middle of each delay, when start pis
+    come before it, and the number of pis it inserts."""
+    events, count = [], start
+    for ev in leaf.events:
         if isinstance(ev, WeakPulse):
-            raise ValueError(
-                "cannot offset-refocus a program with weak pulses; "
-                "DANTE-discretize it first"
-            )
+            raise ValueError("cannot offset-refocus a program with weak pulses; "
+                             "DANTE-discretize it first")
         if isinstance(ev, Delay):
             half = Delay(ev.duration / 2)
-            events.extend((half, next_pi(), half))
+            events.extend((half, _CYCLE[count % len(_CYCLE)], half))
+            count += 1
         elif isinstance(ev, HardPulse):
-            phase = (-ev.phase) % TWO_PI if inverted else ev.phase
-            events.append(HardPulse(ev.targets, ev.flip, phase))
+            events.append(HardPulse(ev.targets, ev.flip, (-ev.phase) % TWO_PI) if count % 2 else ev)
         elif isinstance(ev, ZRotation):
-            angle = -ev.angle if inverted else ev.angle
-            events.append(ZRotation(ev.target, angle))
+            events.append(ZRotation(ev.target, -ev.angle) if count % 2 else ev)
         else:
             raise TypeError(f"unknown event type {type(ev).__name__}")
-    if inverted:
-        events.append(next_pi())
+    return PulseProgram(tuple(events)), count - start
+
+
+def refocus_offsets(p: PulseProgram) -> PulseProgram:
+    """Insert offset-refocusing pi pulses into every delay of an ideal program.
+
+    The pis inserted so far, counted modulo the (even) cycle length, fix both
+    the next cycle phase and the frame parity. So each leaf of p is mapped
+    once per count it starts at, and a repeated block stays a repeated leaf.
+    """
+    mapped, leaves, count = {}, [], 0
+    for leaf in p.parts or (p,):
+        key = (id(leaf), count % len(_CYCLE))
+        if key not in mapped:
+            mapped[key] = _refocus_leaf(leaf, key[1])
+        out, inserted = mapped[key]
+        leaves.append(out)
+        count += inserted
+    if count % 2:  # the compensating pi ends the last leaf, as a new object
+        leaves[-1] = PulseProgram(leaves[-1].events + (_CYCLE[count % len(_CYCLE)],))
     meta = p.meta + (("transform", "refocus-offsets"),)
-    return PulseProgram(tuple(events), label=f"{p.label}-bb", kappa=p.kappa, meta=meta)
+    return join(leaves, f"{p.label}-bb", p.kappa, meta)
 
 
 def _dante_train(p: PulseProgram, n: int, label: str, transform: str,
@@ -111,7 +117,7 @@ def _dante_train(p: PulseProgram, n: int, label: str, transform: str,
     of the simultaneous rf + coupling evolution. With refocus, a refocusing
     pi(1,2,3) group cycling through the refocusing phases precedes each
     sub-pulse, whose phase is invariant under the frame toggles. The train
-    is one period object added n / period times: one segment, or with
+    is one period object joined n / period times: one segment, or with
     refocus one phase cycle of segments.
     """
     _check_segments(n)
@@ -127,15 +133,14 @@ def _dante_train(p: PulseProgram, n: int, label: str, transform: str,
     for i in range(size):
         period.append(sub_delay)
         if refocus:
-            period.append(HardPulse(frozenset({1, 2, 3}), math.pi, _CYCLE[i]))
+            period.append(_CYCLE[i])
         period.extend((sub_pulse, sub_delay))
-    period = PulseProgram(tuple(period), label, p.kappa)
     # with pi groups, the V_D / W rotations around the train sit where the
     # toggling frame is even (n is a multiple of 4), so they pass unchanged
     at = p.events.index(wp)
-    head = PulseProgram(p.events[:at], label, p.kappa, p.meta + (("transform", transform),))
-    tail = PulseProgram(p.events[at + 1:], label, p.kappa)
-    return concatenate((head, *(period,) * (n // size), tail))
+    head, tail = PulseProgram(p.events[:at]), PulseProgram(p.events[at + 1:])
+    return join((head, *(PulseProgram(tuple(period)),) * (n // size), tail),
+                label, p.kappa, p.meta + (("transform", transform),))
 
 
 def dante_discretize(p: PulseProgram, n: int) -> PulseProgram:
@@ -192,12 +197,11 @@ def emulate_selective_pulse(target: int, flip_deg: float, phase: float,
     """
     if target not in (1, 3):
         raise ValueError(f"selective emulation targets spin 1 or 3, got {target}")
-    if abs(flip_deg - 180.0) > 1e-9:
-        raise ValueError(
-            "only the 180-degree selective element is defined by this construction"
-        )
-    if dnu13 == 0:
-        raise ValueError("proton offset difference must be nonzero")
+    if not abs(flip_deg - 180.0) <= 1e-9:  # NaN fails too
+        raise ValueError(f"flip_deg must be 180, the one selective element this construction "
+                         f"defines, got {flip_deg!r}")
+    if not math.isfinite(dnu13) or dnu13 == 0:
+        raise ValueError(f"proton offset difference dnu13 must be finite and nonzero, got {dnu13!r}")
     delta = 1.0 / (4.0 * abs(dnu13))
     last_phase = phase if target == 1 else (phase + math.pi) % TWO_PI
     events = [

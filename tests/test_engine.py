@@ -1,7 +1,5 @@
 import math
 from dataclasses import replace
-from functools import reduce
-from operator import add
 
 import numpy as np
 import pytest
@@ -23,7 +21,7 @@ from trispin.engine import (
 )
 from trispin.linalg import expm_generator, unitarity_defect
 from trispin.metrics import eta_curve, fidelity, transfer_efficiency
-from trispin.pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation
+from trispin.pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, join
 from trispin.sequences import build_swap13, build_uzzz
 from trispin.spinsys import (
     SpinSystem,
@@ -62,7 +60,7 @@ def test_propagator_is_unitary(settings):
 def test_concatenation_homomorphism():
     p1 = build_uzzz("B", 0.7, J)
     p2 = build_uzzz("D", 1.2, J)
-    lhs = propagator_of(p1 + p2, SYS)
+    lhs = propagator_of(join((p1, p2)), SYS)
     rhs = propagator_of(p2, SYS) @ propagator_of(p1, SYS)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -141,6 +139,17 @@ def test_settings_validation():
 def test_settings_reject_non_finite_rf_amplitude(mode, amp):
     with pytest.raises(ValueError, match=r"rf_amplitudes\['1H'\] must be finite"):
         SimulationSettings(mode=mode, rf_amplitudes={"1H": amp})
+
+
+@pytest.mark.parametrize("mode", ["ideal", "realistic"])
+def test_misspelled_rf_channel_is_rejected(mode):
+    settings = SimulationSettings(mode=mode, rf_amplitudes={"1h": 1000.0})
+    with pytest.raises(ValueError, match=r"rf_amplitudes\['1h'\]"):
+        propagator_of(build_uzzz("B", 1.0, J), SYS, settings)
+    # a channel no spin uses is allowed when it is a default one
+    other = SpinSystem(J, J, 0.0, 0.0, 0.0, 0.0, ("1H", "1H", "1H"))
+    assert unitarity_defect(propagator_of(build_uzzz("B", 1.0, J), other,
+                                          SimulationSettings(mode=mode))) < 1e-10
 
 
 def test_settings_merge_a_mapping_or_pairs_onto_the_defaults():
@@ -387,15 +396,16 @@ def test_non_unitary_result_is_rejected(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Programs composed with `+`: each distinct leaf object is propagated once
+# Programs composed with `join`: each distinct leaf object is propagated once
 
 _LEAVES = st.lists(_EVENT, max_size=12).map(lambda events: PulseProgram(tuple(events)))
 
 
 def _sums(pool):
-    """Sums of leaves drawn from pool, so leaf objects repeat within and
-    across programs; a single draw is a program without parts."""
-    return st.lists(st.sampled_from(pool), min_size=1, max_size=7).map(lambda ps: reduce(add, ps))
+    """Joins of leaves drawn from pool, so leaf objects repeat within and
+    across programs, or a single draw itself: a program without parts."""
+    return st.lists(st.sampled_from(pool), min_size=1, max_size=7).map(
+        lambda ps: join(ps) if len(ps) > 1 else ps[0])
 
 
 _COMPOSED = st.lists(_LEAVES, min_size=1, max_size=4).flatmap(_sums)
@@ -433,9 +443,7 @@ def test_replace_flattens_and_keeps_the_propagator(settings):
 def test_sum_of_5000_programs_propagates():
     pulse = PulseProgram((HardPulse(frozenset({2}), 0.1, 0.3),))
     delay = PulseProgram((Delay(1e-4),))
-    p = pulse
-    for i in range(5000):
-        p += delay if i % 2 else pulse
+    p = join(delay if i % 2 else pulse for i in range(5001))
     assert len(p.parts) == 5001 and len(p.events) == 5001
     u = propagator_of(p, acetamide(), REALISTIC)
     assert unitarity_defect(u) < 1e-10

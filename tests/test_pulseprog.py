@@ -4,7 +4,6 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from trispin.broadband import eliminate_z_rotations, receiver_phases
 from trispin.engine import SimulationSettings, total_duration
 from trispin.pulseprog import (
     Delay,
@@ -14,8 +13,8 @@ from trispin.pulseprog import (
     WeakPulse,
     ZRotation,
     parse_program,
+    join,
     serialize_program,
-    concatenate,
 )
 from trispin.sequences import VARIANTS, build_swap13, build_uzzz
 from trispin.spinsys import ideal_chain
@@ -117,48 +116,40 @@ def test_nominal_duration_and_concatenation():
     p = build_uzzz("B", 1.0, 88.0)
     assert p.nominal_duration == pytest.approx(1.0 / 88.0)
     q = build_uzzz("D", 1.0, 88.0)
-    assert (p + q).nominal_duration == pytest.approx(
+    assert join((p, q)).nominal_duration == pytest.approx(
         p.nominal_duration + q.nominal_duration)
-
-
-def test_concatenation_keeps_kappa_and_meta():
-    p = eliminate_z_rotations(build_swap13("C", 0.6, 88.0))
-    q = PulseProgram((Delay(1e-3),), label="tail", kappa=0.6, meta=(("transform", "none"),))
-    pq = p + q
-    assert pq.events == p.events + q.events
-    assert pq.kappa == 0.6
-    assert pq.meta == p.meta + q.meta
-    assert receiver_phases(pq) == receiver_phases(p) != {}
-    assert (p + PulseProgram((Delay(1e-3),), kappa=0.7)).kappa is None
-    assert (p + PulseProgram()).kappa is None
 
 
 def test_sum_records_its_leaves_outside_equality():
     a = PulseProgram((HardPulse(frozenset({2}), 1.0, 0.0),), label="x", kappa=0.5)
     b = PulseProgram((Delay(1e-3), ZRotation(1, 0.2)), label="x", kappa=0.5, meta=(("k", "v"),))
-    p = a + b + a
+    p = join((a, b, a), "x", 0.5, (("k", "v"),))
     assert p.parts == (a, b, a) and p.parts[0] is p.parts[2]
     assert p.events == a.events + b.events + a.events
     flat = PulseProgram(p.events, "x", 0.5, (("k", "v"),))
     assert flat.parts == () and a.parts == ()
     assert p == flat and hash(p) == hash(flat) and repr(p) == repr(flat)
     assert serialize_program(p) == serialize_program(flat)
-    # a sum of sums lists leaves, never nested sums
-    assert (p + (b + a)).parts == (a, b, a, b, a)
+    # a join of joins lists leaves, never nested joins
+    assert join((p, join((b, a)))).parts == (a, b, a, b, a)
     assert replace(p, label="y").parts == ()
+    # the label, kappa and meta are the join's own, never merged from its operands
+    assert (join((a, b)).label, join((a, b)).kappa, join((a, b)).meta) == ("", None, ())
+    assert join(()) == PulseProgram() and join(()).parts == ()
 
 
 @pytest.mark.parametrize("count", [1, 2, 5, 8, 13])
 def test_concatenate_equals_the_chain_of_additions(count):
+    """One join of a list equals the left-to-right chain of two-program joins."""
     blocks = [PulseProgram((Delay(1e-3 * (k % 3)),), "x", 0.5, (("k", str(k)),)) for k in range(3)]
     programs = [blocks[k % 3] for k in range(count)]
-    chain = programs[0]
+    chain = join(programs[:1], "x", 0.5)
     for q in programs[1:]:
-        chain = chain + q
-    joined = concatenate(iter(programs))
-    assert joined == chain and joined.meta == chain.meta
-    assert len(joined.parts) == len(chain.parts)
-    assert all(a is b for a, b in zip(joined.parts, chain.parts))
+        chain = join((chain, q), "x", 0.5)
+    joined = join(iter(programs), "x", 0.5)
+    assert joined == chain and joined.meta == ()
+    assert len(joined.parts) == len(chain.parts) == count
+    assert all(a is b is programs[k] for k, (a, b) in enumerate(zip(joined.parts, chain.parts)))
 
 
 def test_total_duration_realistic_adds_pulse_widths():

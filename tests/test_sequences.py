@@ -97,6 +97,16 @@ def test_weak_pulse_amplitude():
     assert wp[0].amplitude == pytest.approx(J / math.sqrt(3))
 
 
+@pytest.mark.parametrize("kappa, j, field", [
+    (0.5, math.nan, "J"),
+    (0.5, -3.0, "J"),
+    (-1.0, 88.0, "kappa"),
+], ids=["j-nan", "j-negative", "kappa-negative"])
+def test_weak_pulse_amplitude_rejects_bad_input(kappa, j, field):
+    with pytest.raises(ValueError, match=field):
+        weak_pulse_amplitude(kappa, j)
+
+
 def test_swap_duration_bookkeeping():
     book = swap_duration_bookkeeping(88.0)
     assert book["direct"] == pytest.approx(3.0 / 176.0)
