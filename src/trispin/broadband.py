@@ -183,8 +183,7 @@ def build_swap13_broadband(v: str, kappa: float, j: float,
     return compose_swap13(broadband_uzzz(v, kappa, j, scheme), f"swap13-{v}-bb", kappa)
 
 
-def emulate_selective_pulse(target: int, flip_deg: float, phase: float,
-                            dnu13: float) -> PulseProgram:
+def emulate_selective_pulse(target: int, phase: float, dnu13: float) -> PulseProgram:
     """Proton-selective 180-degree pulse from hard pulses and delays.
 
     90(1,3) - delta - 180x(2) - delta - 180x(2) - 90(1,3) with
@@ -197,9 +196,6 @@ def emulate_selective_pulse(target: int, flip_deg: float, phase: float,
     """
     if target not in (1, 3):
         raise ValueError(f"selective emulation targets spin 1 or 3, got {target}")
-    if not abs(flip_deg - 180.0) <= 1e-9:  # NaN fails too
-        raise ValueError(f"flip_deg must be 180, the one selective element this construction "
-                         f"defines, got {flip_deg!r}")
     if not math.isfinite(dnu13) or dnu13 == 0:
         raise ValueError(f"proton offset difference dnu13 must be finite and nonzero, got {dnu13!r}")
     delta = 1.0 / (4.0 * abs(dnu13))

@@ -1,6 +1,8 @@
 """Command-line front end: table/curve reproduction, verification, compilation.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
+A command reports bad input by raising ValueError; main prints it as one
+stderr line and returns 2.
 CSV output uses '.' decimals, newline-terminated rows and a stable column
 order, so identical inputs give byte-identical output.
 """
@@ -14,8 +16,7 @@ import sys
 import numpy as np
 
 from . import broadband, metrics, sequences
-from .engine import (DEFAULT_RF_AMPLITUDES, MAX_GRID_POINTS, SimulationSettings, inclusive_grid,
-                     propagator_stacks)
+from .engine import DEFAULT_RF_AMPLITUDES, SimulationSettings, inclusive_grid, propagator_stacks
 from .pulseprog import parse_program, serialize_program
 from .spinsys import SpinSystem, acetamide, ideal_chain, target_trilinear, swap13_target, spin_operator
 from .linalg import expm_generator
@@ -36,22 +37,11 @@ def _parse_range(text: str):
     parts = text.split(":")
     try:
         if len(parts) not in (2, 3):
-            raise ValueError
-        start, stop = float(parts[0]), float(parts[1])
+            raise ValueError("expected start:stop[:step]")
         step = float(parts[2]) if len(parts) == 3 else 0.1
-        if not (all(map(math.isfinite, (start, stop, step))) and step > 0):
-            raise ValueError
-    except ValueError:
-        print(f"bad kappa range {text!r}: expected finite start:stop[:step] with step > 0",
-              file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
-    if stop < start:
-        return []  # empty range: commands emit a header-only CSV
-    try:
-        return [round(k, 12) for k in inclusive_grid(start, stop, step)]
-    except ValueError:
-        print(f"--kappa {text!r} spans more than {MAX_GRID_POINTS} grid points", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        return [round(k, 12) for k in inclusive_grid(float(parts[0]), float(parts[1]), step)]
+    except ValueError as exc:
+        raise ValueError(f"--kappa {text!r}: {exc}") from None
 
 
 def _load_config(path: str | None) -> dict:
@@ -69,21 +59,17 @@ def _load_config(path: str | None) -> dict:
                 if not line:
                     continue
                 if "=" not in line:
-                    print(f"config line {lineno}: expected key=value", file=sys.stderr)
-                    raise SystemExit(USAGE_ERROR)
+                    raise ValueError(f"config line {lineno}: expected key=value")
                 key, _, value = line.partition("=")
                 key = key.strip()
                 if key not in cfg:
-                    print(f"config line {lineno}: unknown key {key!r}", file=sys.stderr)
-                    raise SystemExit(USAGE_ERROR)
+                    raise ValueError(f"config line {lineno}: unknown key {key!r}")
                 try:
                     cfg[key] = type(cfg[key])(value.strip())
                 except ValueError as exc:
-                    print(f"config line {lineno}: {key}: {exc}", file=sys.stderr)
-                    raise SystemExit(USAGE_ERROR)
+                    raise ValueError(f"config line {lineno}: {key}: {exc}") from None
     except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        raise ValueError(f"cannot read config: {exc}") from None
     return cfg
 
 
@@ -123,8 +109,7 @@ def cmd_curves(args) -> int:
 
 def cmd_eta_sweep(args) -> int:
     if args.variant not in sequences.VARIANTS:
-        print(f"unknown variant {args.variant!r}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"unknown variant {args.variant!r}")
     cfg = _load_config(args.config)
     sys_ = SpinSystem(cfg["j12"], cfg["j23"], cfg["j13"],
                       cfg["nu1"], cfg["nu2"], cfg["nu3"])
@@ -204,8 +189,8 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     if args.suite not in SUITES:
-        print(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
+    sequences._check_j(args.J)  # once for every suite, also one that never reads J
     # the whole suite runs before any output, so an error leaves stdout empty
     results = list(SUITES[args.suite](args.J))
     failed = False
@@ -231,8 +216,7 @@ def cmd_compile(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"cannot write {args.out!r}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"cannot write {args.out!r}: {exc}") from None
     return 0
 
 
@@ -280,8 +264,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR

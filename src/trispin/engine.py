@@ -25,7 +25,7 @@ _FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 DEFAULT_RF_AMPLITUDES = {"1H": 35700.0, "15N": 5500.0}
 
-# largest inclusive_grid: offset_scan's offsets, the CLI's kappa ranges
+# largest inclusive_grid (offset_scan's offsets, the CLI's kappa ranges) and rf ensemble
 MAX_GRID_POINTS = 10_000
 
 
@@ -61,8 +61,9 @@ class SimulationSettings:
                                  f"got {amp!r}")
         if not 0.0 <= self.rf_fwhm < 1.0:
             raise ValueError("rf_fwhm must be in [0, 1)")
-        if self.rf_grid_points < 1 or self.rf_grid_points % 2 == 0:
-            raise ValueError("rf_grid_points must be odd and positive")
+        if not 1 <= self.rf_grid_points <= MAX_GRID_POINTS or self.rf_grid_points % 2 == 0:
+            raise ValueError(f"rf_grid_points must be odd, positive and at most {MAX_GRID_POINTS}, "
+                             f"got {self.rf_grid_points!r}")
 
     def amplitude_for(self, channel: str) -> float:
         for name, amp in self.rf_amplitudes:
@@ -247,10 +248,17 @@ def evolve(rho0: np.ndarray, p: PulseProgram, sys: SpinSystem,
 
 
 def inclusive_grid(start: float, stop: float, step: float) -> list[float]:
-    """Points start + i * step up to stop, for finite values and step > 0. A
-    point past stop by rounding only, 1e-12 * max(1, |start|, |stop|), is
-    kept, so a grid that reaches stop ends there. Raises ValueError past
-    MAX_GRID_POINTS points."""
+    """Points start + i * step up to stop; [] when stop < start. A point past
+    stop by rounding only, 1e-12 * max(1, |start|, |stop|), is kept, so a grid
+    that reaches stop ends there. Raises ValueError naming the field for a
+    non-finite bound or step, for step <= 0 and past MAX_GRID_POINTS points."""
+    for name, value in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if stop < start:
+        return []
     # round(span) + 1 points at most, counted before the grid is built; inf for a tiny step
     span = (stop - start) / step
     if span > MAX_GRID_POINTS or round(span) >= MAX_GRID_POINTS:
@@ -267,15 +275,10 @@ def offset_scan(p: PulseProgram, sys: SpinSystem, settings: SimulationSettings,
     The grid shifts the offsets of all spins on the given channel by each
     value of inclusive_grid(start, stop, step), at most MAX_GRID_POINTS values.
     """
-    for name, value in (("start", start), ("stop", stop), ("step", step)):
-        if not math.isfinite(value):
-            raise ValueError(f"offset {name} must be finite, got {value!r}")
-    if step <= 0:
-        raise ValueError("offset step must be positive")
-    if stop < start:
-        raise ValueError("empty offset range")
     try:
         offsets = inclusive_grid(start, stop, step)
     except ValueError as exc:
         raise ValueError(f"offset {exc}") from None
+    if not offsets:
+        raise ValueError("empty offset range")
     return [(o, float(metric(p, sys.shifted(channel, o), settings))) for o in offsets]

@@ -72,8 +72,12 @@ class SpinSystem:
 
     def shifted(self, channel: str, delta: float) -> "SpinSystem":
         """Shift the offsets of all spins on the given channel by delta (Hz)."""
+        spins = self.spins_on(channel)
+        if not spins:  # a misspelled channel would shift nothing
+            raise ValueError(f"channel {channel!r}: no spin is on that channel "
+                             f"(channels {sorted(set(self.channels))})")
         nus = list(self.offsets)
-        for k in self.spins_on(channel):
+        for k in spins:
             nus[k - 1] += delta
         return self.with_offsets(*nus)
 

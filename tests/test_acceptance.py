@@ -122,7 +122,7 @@ def test_criterion_8_realistic_curves_qualitative():
 
 
 def test_criterion_9_selective_pulse_emulation():
-    p = emulate_selective_pulse(1, 180.0, 0.0, 358.0)
+    p = emulate_selective_pulse(1, 0.0, 358.0)
     delta = [e for e in p.events if isinstance(e, Delay)][0].duration
     assert 1e6 * delta == pytest.approx(698, abs=1.0)
     sys = SpinSystem(88.8, 87.3, 0.0, 0.0, 0.0, 358.0)  # J13 = 0 keeps it exact

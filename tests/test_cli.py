@@ -66,9 +66,7 @@ def test_curves_empty_range_is_header_only(capsys):
 
 
 def test_curves_malformed_range(capsys):
-    with pytest.raises(SystemExit) as err:
-        cli.main(["curves", "--kappa", "0.1:1.0:-0.1"])
-    assert err.value.code == 2
+    assert cli.main(["curves", "--kappa", "0.1:1.0:-0.1"]) == 2
 
 
 def test_output_is_deterministic(capsys):
@@ -106,18 +104,14 @@ def test_eta_sweep_config_file(tmp_path, capsys):
 def test_eta_sweep_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("coupling = 88\n")
-    with pytest.raises(SystemExit) as err:
-        cli.main(["eta-sweep", "--variant", "B", "--kappa", "1:1",
-                  "--config", str(cfg)])
-    assert err.value.code == 2
+    assert cli.main(["eta-sweep", "--variant", "B", "--kappa", "1:1",
+                     "--config", str(cfg)]) == 2
 
 
 def test_config_value_error_names_key_and_line(tmp_path, capsys):
     cfg = tmp_path / "float_grid.cfg"
     cfg.write_text("# rf ensemble\nrf_fwhm = 0.1\nrf_grid = 11.0\n")
-    with pytest.raises(SystemExit) as err:
-        cli.main(["eta-sweep", "--variant", "B", "--kappa", "1:1", "--config", str(cfg)])
-    assert err.value.code == 2
+    assert cli.main(["eta-sweep", "--variant", "B", "--kappa", "1:1", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("config line 3: rf_grid: invalid literal for int() "
@@ -138,9 +132,7 @@ def test_eta_sweep_error_leaves_stdout_empty(tmp_path, capsys):
 @pytest.mark.parametrize("kappa", ["abc", "0:inf"])
 def test_malformed_kappa_names_the_value(capsys, command, kappa):
     argv = [command, "--kappa", kappa] + (["--variant", "B"] if command == "eta-sweep" else [])
-    with pytest.raises(SystemExit) as err:
-        cli.main(argv)
-    assert err.value.code == 2
+    assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
@@ -209,6 +201,8 @@ def test_compile_unwritable_path(capsys):
     ["table1", "--J", "inf"],
     ["verify", "swap", "--J", "nan"],
     ["verify", "identities", "--J", "inf"],
+    ["verify", "limits", "--J", "nan"],  # limits never reads J; it is checked before any suite
+    ["verify", "limits", "--J", "-3"],
 ])
 def test_non_finite_j_exits_2_with_empty_stdout(capsys, argv):
     assert cli.main(argv) == 2
@@ -223,17 +217,49 @@ def test_oversized_kappa_grid_rejected_before_it_is_built(capsys, command, kappa
     argv = [command, "--kappa", kappa] + (["--variant", "B"] if command == "eta-sweep" else [])
     tracemalloc.start()
     try:
-        with pytest.raises(SystemExit) as err:
-            cli.main(argv)
+        code = cli.main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert err.value.code == 2
+    assert code == 2
     assert peak < 2**20  # a 10^4-point grid alone would take about 0.3 MiB
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and "--kappa" in lines[0] and repr(kappa) in lines[0]
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["curves", "--kappa", "0:1:x"], None, "--kappa '0:1:x': could not convert string to float"),
+    (["curves", "--kappa", "0:1:2:3"], None, "--kappa '0:1:2:3': expected start:stop[:step]"),
+    (["eta-sweep", "--variant", "B", "--kappa", "0:1:1e-9"], None,
+     "--kappa '0:1:1e-9': grid spans more than 10000 points"),
+    (["eta-sweep", "--variant", "B", "--kappa", "1:1", "--config", "{cfg}"], "j12 88\n",
+     "config line 1: expected key=value"),
+    (["eta-sweep", "--variant", "B", "--kappa", "1:1", "--config", "{cfg}"], "# a\ncoupling = 88\n",
+     "config line 2: unknown key 'coupling'"),
+    (["eta-sweep", "--variant", "B", "--kappa", "1:1", "--config", "{cfg}"], "rf_grid = many\n",
+     "config line 1: rf_grid: invalid literal for int()"),
+    (["eta-sweep", "--variant", "B", "--kappa", "1:1", "--config", "{cfg}"], "rf_grid = 10000001\n",
+     "rf_grid_points must be odd, positive and at most 10000, got 10000001"),
+    (["eta-sweep", "--variant", "B", "--kappa", "1:1", "--config", "{missing}"], None,
+     "cannot read config: "),
+    (["eta-sweep", "--variant", "Z", "--kappa", "1:1"], None, "unknown variant 'Z'"),
+    (["verify", "nosuch"], None, "unknown suite 'nosuch'"),
+    (["verify", "limits", "--J", "-3"], None, "coupling J must be positive and finite, got -3.0"),
+    (["compile", "--variant", "B", "--kappa", "1", "--out", "{missing}/x.pp"], None,
+     "cannot write "),
+], ids=["kappa-value", "kappa-shape", "kappa-size", "config-no-equals", "config-key",
+        "config-value", "config-rf-grid", "config-unreadable", "variant", "suite", "j", "out"])
+def test_every_command_error_returns_2_with_one_stderr_line(tmp_path, capsys, argv, config,
+                                                            message):
+    cfg, missing = tmp_path / "run.cfg", tmp_path / "missing"
+    if config is not None:
+        cfg.write_text(config)
+    assert cli.main([a.format(cfg=cfg, missing=missing) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(message)
 
 
 def test_kappa_grid_cap_is_inclusive():

@@ -57,7 +57,7 @@ def test_propagator_is_unitary(settings):
         assert unitarity_defect(u) < 1e-9
 
 
-def test_concatenation_homomorphism():
+def test_join_homomorphism():
     p1 = build_uzzz("B", 0.7, J)
     p2 = build_uzzz("D", 1.2, J)
     lhs = propagator_of(join((p1, p2)), SYS)
@@ -128,6 +128,12 @@ def test_settings_validation():
         SimulationSettings(rf_fwhm=1.5)
     with pytest.raises(ValueError):
         SimulationSettings(rf_grid_points=4)
+    # construction only: an ensemble this large is never propagated
+    with pytest.raises(ValueError, match="rf_grid_points must be odd, positive and at most 10000, "
+                                         "got 10000001"):
+        SimulationSettings(mode="realistic", rf_fwhm=0.1, rf_grid_points=10_000_001)
+    largest = SimulationSettings(mode="realistic", rf_fwhm=0.1, rf_grid_points=9_999)
+    assert largest.rf_grid_points == 9_999
     with pytest.raises(ValueError):
         SimulationSettings(mode="realistic", rf_amplitudes={"1H": 0.0})
     with pytest.raises(ValueError):
@@ -163,6 +169,23 @@ def test_settings_merge_a_mapping_or_pairs_onto_the_defaults():
     assert replace(from_dict, mode="realistic").rf_amplitudes == from_dict.rf_amplitudes
 
 
+@pytest.mark.parametrize("start, stop, step, message", [
+    (math.nan, 1.0, 0.1, "start must be finite, got nan"),
+    (0.0, -math.inf, 0.1, "stop must be finite, got -inf"),
+    (0.0, 1.0, math.inf, "step must be finite, got inf"),
+    (0.0, 1.0, 0.0, "step must be positive"),
+    (1.0, 0.0, -0.1, "step must be positive"),
+])
+def test_inclusive_grid_rejects_bad_bounds_naming_the_field(start, stop, step, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        engine.inclusive_grid(start, stop, step)
+
+
+def test_inclusive_grid_is_empty_when_stop_precedes_start():
+    assert engine.inclusive_grid(1.0, 0.5, 0.1) == []
+    assert engine.inclusive_grid(1.0, 1.0, 0.1) == [1.0]
+
+
 def _fid_metric(p, sys, settings):
     return fidelity(propagator_of(p, sys, settings),
                     target_trilinear("z", "z", "z", 1.0))
@@ -192,6 +215,15 @@ def test_offset_scan_validation():
         offset_scan(p, SYS, IDEAL, "1H", 0.0, 100.0, 0.0, _fid_metric)
     with pytest.raises(ValueError):
         offset_scan(p, SYS, IDEAL, "1H", 100.0, 0.0, 10.0, _fid_metric)
+
+
+def test_offset_scan_on_a_channel_no_spin_uses_names_it():
+    calls = []
+    with pytest.raises(ValueError, match=r"^channel '13C': no spin is on that channel "
+                                         r"\(channels \['15N', '1H'\]\)$"):
+        offset_scan(PulseProgram(), acetamide(), IDEAL, "13C", -100.0, 100.0, 100.0,
+                    lambda *args: calls.append(args))
+    assert calls == []
 
 
 @pytest.mark.parametrize("start, stop, step, message", [

@@ -112,7 +112,7 @@ def test_metadata_round_trips():
     assert q.meta == p.meta
 
 
-def test_nominal_duration_and_concatenation():
+def test_nominal_duration_and_join():
     p = build_uzzz("B", 1.0, 88.0)
     assert p.nominal_duration == pytest.approx(1.0 / 88.0)
     q = build_uzzz("D", 1.0, 88.0)
@@ -120,7 +120,7 @@ def test_nominal_duration_and_concatenation():
         p.nominal_duration + q.nominal_duration)
 
 
-def test_sum_records_its_leaves_outside_equality():
+def test_join_records_its_leaves_outside_equality():
     a = PulseProgram((HardPulse(frozenset({2}), 1.0, 0.0),), label="x", kappa=0.5)
     b = PulseProgram((Delay(1e-3), ZRotation(1, 0.2)), label="x", kappa=0.5, meta=(("k", "v"),))
     p = join((a, b, a), "x", 0.5, (("k", "v"),))
@@ -139,7 +139,7 @@ def test_sum_records_its_leaves_outside_equality():
 
 
 @pytest.mark.parametrize("count", [1, 2, 5, 8, 13])
-def test_concatenate_equals_the_chain_of_additions(count):
+def test_one_join_equals_the_chain_of_pairwise_joins(count):
     """One join of a list equals the left-to-right chain of two-program joins."""
     blocks = [PulseProgram((Delay(1e-3 * (k % 3)),), "x", 0.5, (("k", str(k)),)) for k in range(3)]
     programs = [blocks[k % 3] for k in range(count)]
