@@ -32,14 +32,18 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _parse_range(text: str):
-    """kappa range 'start:stop[:step]' -> list of grid values."""
+def _parse_range(text: str, check=None):
+    """kappa range 'start:stop[:step]' -> list of grid values, each passed to
+    check, the domain check of the command that reads them."""
     parts = text.split(":")
     try:
         if len(parts) not in (2, 3):
             raise ValueError("expected start:stop[:step]")
         step = float(parts[2]) if len(parts) == 3 else 0.1
-        return [round(k, 12) for k in inclusive_grid(float(parts[0]), float(parts[1]), step)]
+        kappas = [round(k, 12) for k in inclusive_grid(float(parts[0]), float(parts[1]), step)]
+        for kappa in kappas if check else ():
+            check(kappa)
+        return kappas
     except ValueError as exc:
         raise ValueError(f"--kappa {text!r}: {exc}") from None
 
@@ -98,7 +102,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    kappas = [k for k in _parse_range(args.kappa) if 0.0 < k <= 1.0]
+    kappas = _parse_range(args.kappa, metrics._check_ratio_kappa)
     print("kappa,tau_A,tau_B,tau_C,tau_D,s_A,s_B,s_C,s_D,rA,rC,rD")
     for row in metrics.fig2_tables(kappas):
         cells = [row["kappa"], *(row[f"{q}_{v}"] for q in ("tau", "s") for v in "ABCD"),
@@ -119,7 +123,7 @@ def cmd_eta_sweep(args) -> int:
         rf_fwhm=cfg["rf_fwhm"] if args.mode == "realistic" else 0.0,
         rf_grid_points=int(cfg["rf_grid"]),
     )
-    kappas = [k for k in _parse_range(args.kappa) if 0.0 <= k <= 2.0]
+    kappas = _parse_range(args.kappa, sequences._check_kappa)
     # the whole curve is computed before any output, so an error leaves
     # stdout empty
     curve = metrics.eta_curve(args.variant, kappas, sys_, settings) if kappas else []

@@ -67,6 +67,11 @@ def eta_curve(v: str, kappas, sys: SpinSystem,
     return list(zip(taus, etas))
 
 
+def _check_ratio_kappa(kappa: float):
+    if not 0.0 < kappa <= 1.0:
+        raise ValueError(f"kappa must be in (0, 1] for ratio rows, got {kappa}")
+
+
 def fig2_tables(kappas) -> list[dict]:
     """Closed-form duration/scaling rows over a kappa grid in (0, 1].
 
@@ -76,8 +81,7 @@ def fig2_tables(kappas) -> list[dict]:
     """
     rows = []
     for kappa in kappas:
-        if not 0.0 < kappa <= 1.0:
-            raise ValueError(f"kappa must be in (0, 1] for ratio rows, got {kappa}")
+        _check_ratio_kappa(kappa)
         row = {"kappa": kappa}
         for v in VARIANTS:
             row[f"tau_{v}"], row[f"s_{v}"] = duration_scaling(v, kappa)

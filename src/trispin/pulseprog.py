@@ -172,7 +172,14 @@ def parse_program(text: str) -> PulseProgram:
     label = ""
     kappa = None
     meta = []
+    # raw line -> its event, for this call only: a program repeats few distinct
+    # lines, and only a line that parsed is stored, so each bad line still raises
+    parsed = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        ev = parsed.get(raw)
+        if ev is not None:
+            events.append(ev)
+            continue
         comment = raw.strip()
         # metadata directives round-trip through comments; other comments
         # are ignored
@@ -182,6 +189,8 @@ def parse_program(text: str) -> PulseProgram:
         if comment.startswith("# kappa:"):
             try:
                 kappa = float(comment[len("# kappa:"):].strip())
+                if not math.isfinite(kappa):
+                    raise ValueError
             except ValueError:
                 raise ProgramSyntaxError("bad kappa value", lineno) from None
             continue
@@ -204,18 +213,18 @@ def parse_program(text: str) -> PulseProgram:
                     flip = math.radians(float(f["angle"]))
                 except ValueError:
                     raise ProgramSyntaxError(f"bad angle {f['angle']!r}", lineno) from None
-                events.append(HardPulse(_parse_targets(f["targets"], lineno), flip,
-                                        _parse_phase(f["phase"], lineno)))
+                ev = HardPulse(_parse_targets(f["targets"], lineno), flip,
+                               _parse_phase(f["phase"], lineno))
             elif kind == "wpulse":
                 f = _fields(args, ("targets", "amp", "dur", "phase"), lineno)
-                events.append(WeakPulse(_parse_targets(f["targets"], lineno),
-                                        _parse_unit(f["amp"], "frequency", lineno),
-                                        _parse_unit(f["dur"], "time", lineno),
-                                        _parse_phase(f["phase"], lineno)))
+                ev = WeakPulse(_parse_targets(f["targets"], lineno),
+                               _parse_unit(f["amp"], "frequency", lineno),
+                               _parse_unit(f["dur"], "time", lineno),
+                               _parse_phase(f["phase"], lineno))
             elif kind == "delay":
                 if len(args) != 1:
                     raise ProgramSyntaxError("delay takes exactly one time argument", lineno)
-                events.append(Delay(_parse_unit(args[0], "time", lineno)))
+                ev = Delay(_parse_unit(args[0], "time", lineno))
             elif kind == "zrot":
                 f = _fields(args, ("target", "angle"), lineno)
                 try:
@@ -223,13 +232,15 @@ def parse_program(text: str) -> PulseProgram:
                     angle = math.radians(float(f["angle"]))
                 except ValueError:
                     raise ProgramSyntaxError(f"bad zrot arguments {args!r}", lineno) from None
-                events.append(ZRotation(target, angle))
+                ev = ZRotation(target, angle)
             else:
                 raise ProgramSyntaxError(f"unknown event {kind!r}", lineno)
         except ProgramSyntaxError:
             raise
         except ValueError as exc:
             raise ProgramSyntaxError(str(exc), lineno) from None
+        parsed[raw] = ev
+        events.append(ev)
     return PulseProgram(tuple(events), label=label, kappa=kappa, meta=tuple(meta))
 
 
@@ -248,6 +259,21 @@ def _fmt_targets(targets) -> str:
     return ",".join(str(k) for k in sorted(targets))
 
 
+def _event_line(ev) -> str:
+    if isinstance(ev, HardPulse):
+        return (f"pulse targets={_fmt_targets(ev.targets)} "
+                f"angle={_fmt_deg(ev.flip)} phase={_fmt_phase(ev.phase)}")
+    if isinstance(ev, WeakPulse):
+        return (f"wpulse targets={_fmt_targets(ev.targets)} "
+                f"amp={repr(ev.amplitude)}Hz dur={repr(ev.duration)}s "
+                f"phase={_fmt_phase(ev.phase)}")
+    if isinstance(ev, Delay):
+        return f"delay {repr(ev.duration)}s"
+    if isinstance(ev, ZRotation):
+        return f"zrot target={ev.target} angle={_fmt_deg(ev.angle)}"
+    raise TypeError(f"unknown event type {type(ev).__name__}")
+
+
 def serialize_program(p: PulseProgram) -> str:
     lines = []
     if p.label:
@@ -256,19 +282,10 @@ def serialize_program(p: PulseProgram) -> str:
         lines.append(f"# kappa: {repr(p.kappa)}")
     for key, value in p.meta:
         lines.append(f"# meta {key}={value}")
-    for ev in p.events:
-        if isinstance(ev, HardPulse):
-            lines.append(f"pulse targets={_fmt_targets(ev.targets)} "
-                         f"angle={_fmt_deg(ev.flip)} phase={_fmt_phase(ev.phase)}")
-        elif isinstance(ev, WeakPulse):
-            lines.append(f"wpulse targets={_fmt_targets(ev.targets)} "
-                         f"amp={repr(ev.amplitude)}Hz dur={repr(ev.duration)}s "
-                         f"phase={_fmt_phase(ev.phase)}")
-        elif isinstance(ev, Delay):
-            lines.append(f"delay {repr(ev.duration)}s")
-        elif isinstance(ev, ZRotation):
-            lines.append(f"zrot target={ev.target} angle={_fmt_deg(ev.angle)}")
-        else:
-            raise TypeError(f"unknown event type {type(ev).__name__}")
+    # built and parsed programs repeat event objects, so each distinct object is
+    # formatted once. Keyed by identity, not by value: events that compare equal
+    # across signed zeros, ZRotation(2, -0.0) == ZRotation(2, 0.0), print differently
+    distinct = {id(ev): ev for ev in p.events}
+    line_of = {key: _event_line(ev) for key, ev in distinct.items()}
+    lines += [line_of[id(ev)] for ev in p.events]
     return "\n".join(lines) + "\n"
-

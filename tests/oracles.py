@@ -6,6 +6,8 @@ Kronecker product and diagonal-Hamiltonian assembly are explicit loops.
 The one exception is propagator_loop/evolve_loop, the engine's former
 per-event, per-scale loop, kept as the reference for the batched engine:
 it exponentiates one 8x8 generator at a time and multiplies event by event.
+Likewise serialize_loop is the former serializer, which formats every event
+line from scratch.
 """
 import math
 
@@ -13,7 +15,7 @@ import numpy as np
 
 from trispin.engine import ensemble_scales, hard_pulse_width
 from trispin.linalg import expm_generator, hermiticity_defect
-from trispin.pulseprog import Delay, HardPulse, WeakPulse, ZRotation
+from trispin.pulseprog import Delay, HardPulse, WeakPulse, ZRotation, _fmt_deg, _fmt_phase, _fmt_targets
 from trispin.spinsys import free_hamiltonian, rf_hamiltonian, spin_operator
 
 TWO_PI = 2.0 * math.pi
@@ -117,3 +119,29 @@ def evolve_loop(rho0, p, sys, settings):
         return out
     u = propagator_loop(p, sys, settings)
     return u @ rho0 @ u.conj().T
+
+
+def serialize_loop(p):
+    """Program text with every event formatted on its own, no line shared."""
+    lines = []
+    if p.label:
+        lines.append(f"# label: {p.label}")
+    if p.kappa is not None:
+        lines.append(f"# kappa: {repr(p.kappa)}")
+    for key, value in p.meta:
+        lines.append(f"# meta {key}={value}")
+    for ev in p.events:
+        if isinstance(ev, HardPulse):
+            lines.append(f"pulse targets={_fmt_targets(ev.targets)} "
+                         f"angle={_fmt_deg(ev.flip)} phase={_fmt_phase(ev.phase)}")
+        elif isinstance(ev, WeakPulse):
+            lines.append(f"wpulse targets={_fmt_targets(ev.targets)} "
+                         f"amp={repr(ev.amplitude)}Hz dur={repr(ev.duration)}s "
+                         f"phase={_fmt_phase(ev.phase)}")
+        elif isinstance(ev, Delay):
+            lines.append(f"delay {repr(ev.duration)}s")
+        elif isinstance(ev, ZRotation):
+            lines.append(f"zrot target={ev.target} angle={_fmt_deg(ev.angle)}")
+        else:
+            raise TypeError(f"unknown event type {type(ev).__name__}")
+    return "\n".join(lines) + "\n"

@@ -234,6 +234,12 @@ def test_oversized_kappa_grid_rejected_before_it_is_built(capsys, command, kappa
     (["curves", "--kappa", "0:1:2:3"], None, "--kappa '0:1:2:3': expected start:stop[:step]"),
     (["eta-sweep", "--variant", "B", "--kappa", "0:1:1e-9"], None,
      "--kappa '0:1:1e-9': grid spans more than 10000 points"),
+    (["eta-sweep", "--variant", "B", "--kappa", "1.5:4:1"], None,
+     "--kappa '1.5:4:1': kappa must be in [0, 2], got 2.5"),
+    (["eta-sweep", "--variant", "B", "--kappa", "3:4:1"], None,
+     "--kappa '3:4:1': kappa must be in [0, 2], got 3.0"),
+    (["curves", "--kappa", "0.5:3:1"], None,
+     "--kappa '0.5:3:1': kappa must be in (0, 1] for ratio rows, got 1.5"),
     (["eta-sweep", "--variant", "B", "--kappa", "1:1", "--config", "{cfg}"], "j12 88\n",
      "config line 1: expected key=value"),
     (["eta-sweep", "--variant", "B", "--kappa", "1:1", "--config", "{cfg}"], "# a\ncoupling = 88\n",
@@ -249,7 +255,8 @@ def test_oversized_kappa_grid_rejected_before_it_is_built(capsys, command, kappa
     (["verify", "limits", "--J", "-3"], None, "coupling J must be positive and finite, got -3.0"),
     (["compile", "--variant", "B", "--kappa", "1", "--out", "{missing}/x.pp"], None,
      "cannot write "),
-], ids=["kappa-value", "kappa-shape", "kappa-size", "config-no-equals", "config-key",
+], ids=["kappa-value", "kappa-shape", "kappa-size", "kappa-domain-tail", "kappa-domain-all",
+        "curves-kappa-domain", "config-no-equals", "config-key",
         "config-value", "config-rf-grid", "config-unreadable", "variant", "suite", "j", "out"])
 def test_every_command_error_returns_2_with_one_stderr_line(tmp_path, capsys, argv, config,
                                                             message):

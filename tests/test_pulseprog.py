@@ -1,9 +1,13 @@
+import hashlib
 import math
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import serialize_loop
+from trispin import pulseprog
+from trispin.broadband import BroadbandScheme, broadband_uzzz, build_swap13_broadband, refocus_offsets
 from trispin.engine import SimulationSettings, total_duration
 from trispin.pulseprog import (
     Delay,
@@ -101,6 +105,13 @@ def test_round_trip_is_a_fixpoint(v):
         p = builder(v, 1.3, 88.0)
         text = serialize_program(p)
         assert serialize_program(parse_program(text)) == text
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_kappa_directive_rejected(value):
+    with pytest.raises(ProgramSyntaxError, match="^line 2: bad kappa value$") as err:
+        parse_program(f"delay 1ms\n# kappa: {value}\n")
+    assert err.value.line == 2
 
 
 def test_metadata_round_trips():
@@ -205,3 +216,106 @@ def test_parse_serialize_is_idempotent(p):
     assert serialize_program(q) == text
     assert (q.label, q.kappa, q.meta) == (p.label, p.kappa, p.meta)
     assert [type(ev) for ev in q.events] == [type(ev) for ev in p.events]
+
+
+def _builder_outputs():
+    for v in VARIANTS:
+        for kappa in (0.0, 0.5, 1.0, 2.0):
+            yield build_uzzz(v, kappa, 88.0)
+            yield build_swap13(v, kappa, 88.0)
+            for n in ((4, 64, 256) if v == "D" else (None,)):
+                for sparse in (False, True):
+                    scheme = BroadbandScheme(n=n, sparse_pi=sparse)
+                    yield broadband_uzzz(v, kappa, 88.0, scheme)
+                    yield build_swap13_broadband(v, kappa, 88.0, scheme)
+    yield refocus_offsets(build_swap13("C", 0.0, 88.0))
+
+
+def test_text_and_parsed_programs_of_every_builder_are_pinned():
+    # captured from the serializer and parser that formatted and parsed every line
+    digest = hashlib.sha256()
+    for p in _builder_outputs():
+        text = serialize_program(p)
+        digest.update(text.encode())
+        digest.update(repr(parse_program(text)).encode())
+    assert digest.hexdigest() == "6d8001431b4840654fafa110dcc91e40c21a59ed221d4c31ec120bba36a43880"
+
+
+def test_signed_zeros_of_equal_events_keep_their_own_text():
+    p = refocus_offsets(build_swap13("C", 0.0, 88.0))
+    lines = serialize_program(p).splitlines()
+    assert "zrot target=2 angle=-0.0" in lines
+    assert "zrot target=2 angle=0.0" in lines
+    assert ZRotation(2, -0.0) == ZRotation(2, 0.0)  # why lines are not shared by value
+
+
+def test_each_distinct_event_object_is_formatted_once(monkeypatch):
+    calls = []
+    real = pulseprog._event_line
+
+    def counting(ev):
+        calls.append(ev)
+        return real(ev)
+
+    monkeypatch.setattr(pulseprog, "_event_line", counting)
+    p = broadband_uzzz("D", 1.3, 88.0, BroadbandScheme(n=256))
+    text = serialize_program(p)
+    distinct = {id(ev) for ev in p.events}
+    assert len(calls) == len(distinct) < 20 < len(p.events)
+    calls.clear()
+    q = parse_program(text)
+    assert serialize_program(q) == text
+    assert len(calls) == len({line for line in text.splitlines() if not line.startswith("#")})
+
+
+def test_identical_lines_parse_to_one_event_object():
+    q = parse_program("delay 1ms\nzrot target=2 angle=-0.0\ndelay 1ms\n"
+                      "zrot target=2 angle=0.0\ndelay 1ms\n")
+    assert q.events[0] is q.events[2] is q.events[4]
+    assert q.events[1] is not q.events[3]
+    assert math.copysign(1.0, q.events[1].angle) == -1.0
+    assert math.copysign(1.0, q.events[3].angle) == 1.0
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("delay 1ms 2ms", "delay takes exactly one time argument"),
+    ("delay 1e400s", "duration must be finite, got inf"),
+])
+def test_a_repeated_bad_line_reports_its_first_line(bad, message):
+    with pytest.raises(ProgramSyntaxError, match=f"^line 2: {message}$") as err:
+        parse_program(f"delay 1ms\n{bad}\ndelay 1ms\n{bad}\n")
+    assert err.value.line == 2
+
+
+# values that survive the text format exactly, signed zeros included: whole
+# degrees, and phases that are either named or far from every name
+_EXACT_ANGLE = st.one_of(st.sampled_from((0.0, -0.0)), st.integers(-720, 720).map(math.radians))
+_EXACT_PHASE = st.one_of(st.sampled_from((0.0, -0.0, *pulseprog._PHASE_NAMES.values())),
+                         st.integers(1, 89).map(math.radians))
+_EXACT_DURATION = st.one_of(st.sampled_from((0.0, -0.0)), _DURATION)
+_POOL_EVENT = st.one_of(
+    st.builds(HardPulse, _TARGETS, _EXACT_ANGLE, _EXACT_PHASE),
+    st.builds(WeakPulse, _TARGETS, st.floats(0.0, 1e5), _EXACT_DURATION, _EXACT_PHASE),
+    st.builds(Delay, _EXACT_DURATION),
+    st.builds(ZRotation, st.sampled_from((1, 2, 3)), _EXACT_ANGLE),
+)
+
+
+def _with_twins(pool):
+    """The pool and a copy of each event with the sign of every zero flipped:
+    a twin equals its event but may print differently."""
+    return pool + [replace(ev, **{k: -v for k, v in vars(ev).items()
+                                  if isinstance(v, float) and v == 0.0}) for ev in pool]
+
+
+# few distinct event objects, each repeated, as in built programs
+_REPEATING_PROGRAMS = st.lists(_POOL_EVENT, min_size=1, max_size=4).map(_with_twins).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=40).map(
+        lambda events: PulseProgram(tuple(events))))
+
+
+@given(_REPEATING_PROGRAMS)
+def test_shared_lines_match_the_per_event_serializer(p):
+    text = serialize_program(p)
+    assert text == serialize_loop(p)
+    assert parse_program(text).events == p.events
