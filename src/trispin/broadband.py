@@ -87,25 +87,52 @@ def _refocus_leaf(leaf: PulseProgram, start: int) -> tuple[PulseProgram, int]:
     return PulseProgram(tuple(events)), count - start
 
 
+def _end_with(p: PulseProgram, ev) -> PulseProgram:
+    """p with ev appended to its last leaf; the programs on the way are new objects."""
+    spine = [p]
+    while spine[-1].parts:
+        spine.append(spine[-1].parts[-1])
+    out = PulseProgram(spine.pop().events + (ev,))
+    for node in reversed(spine):
+        out = join(node.parts[:-1] + (out,))
+    return out
+
+
 def refocus_offsets(p: PulseProgram) -> PulseProgram:
     """Insert offset-refocusing pi pulses into every delay of an ideal program.
 
     The pis inserted so far, counted modulo the (even) cycle length, fix both
-    the next cycle phase and the frame parity. So each leaf of p is mapped
-    once per count it starts at, and a repeated block stays a repeated leaf.
+    the next cycle phase and the frame parity. So each program in the tree of
+    p's parts is mapped once per count it starts at, and a repeated block stays
+    a repeated part.
     """
-    mapped, leaves, count = {}, [], 0
-    for leaf in p.parts or (p,):
-        key = (id(leaf), count % len(_CYCLE))
-        if key not in mapped:
-            mapped[key] = _refocus_leaf(leaf, key[1])
-        out, inserted = mapped[key]
-        leaves.append(out)
-        count += inserted
+    mapped = {}  # (id of a program in p's parts tree, pis before it mod 4) -> (its map, pis it inserts)
+    # a depth-first walk without recursion, as a chain of pairwise joins can be
+    # deeper than its limit; a frame is [key, parts, next index, pis so far, mapped parts]
+    frames = [[None, p.parts or (p,), 0, 0, []]]
+    while True:
+        frame = frames[-1]
+        key, parts, i, count, out = frame
+        if i == len(parts):
+            if key is None:
+                break
+            frames.pop()
+            mapped[key] = join(out), count - key[1]
+            continue
+        part_key = (id(parts[i]), count % len(_CYCLE))
+        if part_key in mapped:
+            part, inserted = mapped[part_key]
+            out.append(part)
+            frame[2] += 1
+            frame[3] += inserted
+        elif parts[i].parts:
+            frames.append([part_key, parts[i].parts, 0, part_key[1], []])
+        else:
+            mapped[part_key] = _refocus_leaf(parts[i], part_key[1])
     if count % 2:  # the compensating pi ends the last leaf, as a new object
-        leaves[-1] = PulseProgram(leaves[-1].events + (_CYCLE[count % len(_CYCLE)],))
+        out[-1] = _end_with(out[-1], _CYCLE[count % len(_CYCLE)])
     meta = p.meta + (("transform", "refocus-offsets"),)
-    return join(leaves, f"{p.label}-bb", p.kappa, meta)
+    return join(out, f"{p.label}-bb", p.kappa, meta)
 
 
 def _dante_train(p: PulseProgram, n: int, label: str, transform: str,

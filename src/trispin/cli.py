@@ -33,14 +33,16 @@ def _fmt(x: float) -> str:
 
 
 def _parse_range(text: str, check=None):
-    """kappa range 'start:stop[:step]' -> list of grid values, each passed to
-    check, the domain check of the command that reads them."""
+    """kappa range 'start:stop[:step]' -> nonempty list of grid values, each
+    passed to check, the domain check of the command that reads them."""
     parts = text.split(":")
     try:
         if len(parts) not in (2, 3):
             raise ValueError("expected start:stop[:step]")
         step = float(parts[2]) if len(parts) == 3 else 0.1
         kappas = [round(k, 12) for k in inclusive_grid(float(parts[0]), float(parts[1]), step)]
+        if not kappas:
+            raise ValueError("empty range")
         for kappa in kappas if check else ():
             check(kappa)
         return kappas
@@ -126,7 +128,7 @@ def cmd_eta_sweep(args) -> int:
     kappas = _parse_range(args.kappa, sequences._check_kappa)
     # the whole curve is computed before any output, so an error leaves
     # stdout empty
-    curve = metrics.eta_curve(args.variant, kappas, sys_, settings) if kappas else []
+    curve = metrics.eta_curve(args.variant, kappas, sys_, settings)
     print("variant,kappa,tau_s,eta13")
     for kappa, (tau, eta) in zip(kappas, curve):
         print(f"{args.variant},{_fmt(kappa)},{_fmt(tau)},{_fmt(eta)}")

@@ -14,7 +14,7 @@ from itertools import groupby, islice
 
 import numpy as np
 
-from .linalg import expm_generator, hermiticity_defect, unitarity_defect
+from .linalg import eigh_hermitian, expm_eigh, hermiticity_defect, unitarity_defect
 from .pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation
 from .spinsys import SpinSystem, free_hamiltonian, rf_hamiltonian, spin_operator
 
@@ -75,17 +75,21 @@ class SimulationSettings:
 IDEAL = SimulationSettings()
 
 
-def hard_pulse_width(ev: HardPulse, sys: SpinSystem, settings: SimulationSettings) -> float:
-    """Finite width (s) of a hard pulse: |flip| / (2 pi amplitude) per rf
-    channel it touches; a simultaneous multi-channel pulse is stretched to
-    its slowest channel."""
-    widths = []
-    for ch in {sys.channel_of(k) for k in ev.targets}:
-        amp = settings.amplitude_for(ch)
+def _pulse_amplitude(ev: HardPulse, sys: SpinSystem, settings: SimulationSettings) -> float:
+    """rf amplitude (Hz) of a finite hard pulse: that of the slowest rf channel
+    it touches, to which a simultaneous multi-channel pulse is stretched."""
+    amps = {ch: settings.amplitude_for(ch) for ch in {sys.channel_of(k) for k in ev.targets}}
+    for ch, amp in amps.items():
         if amp <= 0:
             raise ValueError(f"channel {ch!r} has no positive rf amplitude")
-        widths.append(abs(ev.flip) / (TWO_PI * amp))
-    return max(widths)
+    return min(amps.values())
+
+
+def hard_pulse_width(ev: HardPulse, sys: SpinSystem, settings: SimulationSettings) -> float:
+    """Finite width (s) of a hard pulse: |flip| / (2 pi amplitude) at the
+    amplitude of the slowest rf channel it touches; a simultaneous
+    multi-channel pulse is stretched to that channel."""
+    return abs(ev.flip) / (TWO_PI * _pulse_amplitude(ev, sys, settings))
 
 
 def total_duration(p: PulseProgram, settings: SimulationSettings = IDEAL,
@@ -117,73 +121,98 @@ _SPREAD = _FZ[:, None] - _FZ
 
 def _lower(ev, sys: SpinSystem, settings: SimulationSettings, h0: np.ndarray):
     """A Delay, a ZRotation or a zero-width pulse as its diagonal phase angles;
-    any other pulse as its phase-free key (weight of H0, targets, rf amplitude
-    at unit scale, time) and its rf phase."""
+    any other pulse as its generator key (weight of H0, targets, rf amplitude at
+    unit scale), its time and its rf phase. A negative flip is lowered as the
+    positive flip at phase + pi."""
     if isinstance(ev, Delay):
         return np.diag(h0) * ev.duration
     if isinstance(ev, ZRotation):
         return ev.angle * _IZ[ev.target]
     if isinstance(ev, WeakPulse):
-        return (1.0, ev.targets, ev.amplitude, ev.duration), ev.phase
+        return (1.0, ev.targets, ev.amplitude), ev.duration, ev.phase
     if not isinstance(ev, HardPulse):
         raise TypeError(f"unknown event type {type(ev).__name__}")
+    phase = ev.phase + math.pi if ev.flip < 0 else ev.phase
     if settings.mode == "ideal":
-        return (0.0, ev.targets, 1.0 / TWO_PI, ev.flip), ev.phase
-    # Finite pulse of hard_pulse_width, every channel's rf stretched to it; the
-    # rf scale multiplies the delivered amplitude, not the programmed duration.
+        return (0.0, ev.targets, 1.0 / TWO_PI), abs(ev.flip), phase
+    # Finite pulse at _pulse_amplitude for hard_pulse_width, so its generator
+    # does not depend on the flip. The rf scale multiplies the delivered
+    # amplitude, not the programmed duration.
     width = hard_pulse_width(ev, sys, settings)
     if width == 0.0:
         return np.zeros(8)
-    return (1.0, ev.targets, ev.flip / (TWO_PI * width), width), ev.phase
+    return (1.0, ev.targets, _pulse_amplitude(ev, sys, settings)), width, phase
 
 
 # programs lowered together; bounds the transient arrays, so a long sweep runs in constant memory
 _CHUNK = 8
 
 
+def _post_order(programs) -> list:
+    """The distinct program objects in the trees of programs and their parts,
+    each after its parts."""
+    order, seen, todo = [], set(), [(p, False) for p in reversed(programs)]
+    while todo:  # no recursion: a chain of pairwise joins can be deeper than its limit
+        p, parts_done = todo.pop()
+        if parts_done:
+            order.append(p)
+        elif id(p) not in seen:
+            seen.add(id(p))
+            todo += [(p, True), *((part, False) for part in reversed(p.parts))]
+    return order
+
+
+def _product(stacks: list) -> np.ndarray:
+    """Product of (B, 8, 8) stacks in time order: the first acts first."""
+    return reduce(lambda u, stack: stack @ u, stacks)
+
+
 def _lower_chunk(chunk, sys: SpinSystem, settings: SimulationSettings, h0, rf_scales):
-    """(K, B, 8, 8) propagators of K programs. Each distinct leaf (a program's
-    parts, or the program itself when it has none) is chained once: distinct
-    events lowered once, one exp for all delay/z-rotation phases, one real eigh
-    for all phase-free pulse classes at all scales (sound because h0 is diagonal)
-    and one exp for all pulse phases, one row scaling per diagonal run and one
-    matmul per pulse event. Then one matmul per part of each program."""
-    leaves = {id(leaf): leaf for p in chunk for leaf in p.parts or (p,)}
+    """(K, B, 8, 8) propagators of K programs. Each distinct leaf (a program
+    without parts) is chained once: distinct events lowered once, one exp for
+    all delay/z-rotation phases, one real eigh for all distinct pulse generators
+    at all scales (sound because h0 is diagonal), one exp per phase-free class
+    (generator and time) and one for all pulse phases, one row scaling per
+    diagonal run, a column scaling for the first pulse event and one matmul per
+    later one. Then each distinct node (a program with parts) is formed once,
+    bottom-up: one matmul per part after its first."""
+    programs = _post_order(chunk)  # alive for the call, so their ids key products
+    leaves = [p for p in programs if not p.parts]
     index: dict = {}
-    orders = {i: [index.setdefault(ev, len(index)) for ev in leaf.events]
-              for i, leaf in leaves.items()}
+    orders = [[index.setdefault(ev, len(index)) for ev in leaf.events] for leaf in leaves]
     ops = [_lower(ev, sys, settings, h0) for ev in index]  # made phase vectors, stacks below
     diag = [i for i, op in enumerate(ops) if isinstance(op, np.ndarray)]
     for i, phases in zip(diag, np.exp(-1j * np.array([ops[i] for i in diag]))):
         ops[i] = phases
     pulses = [i for i, op in enumerate(ops) if isinstance(op, tuple)]
     if pulses:
-        keys, phis = zip(*(ops[i] for i in pulses))
-        classes = {key: c for c, key in enumerate(dict.fromkeys(keys))}
-        h0_weight, targets, amp, t = zip(*classes)
+        keys, times, phis = zip(*(ops[i] for i in pulses))
+        generators = {key: g for g, key in enumerate(dict.fromkeys(keys))}
+        classes = {c: k for k, c in enumerate(dict.fromkeys(zip(keys, times)))}
+        h0_weight, targets, amp = zip(*generators)
         rf = np.array([rf_hamiltonian(s, a, 0.0).real for s, a in zip(targets, amp)])
-        # built in the call, which then holds the generators' only reference
-        class_stacks = expm_generator(np.array(h0_weight)[:, None, None, None] * h0
-                                      + rf_scales[:, None, None] * rf[:, None], np.array(t)[:, None])
-        stacks = class_stacks[[classes[key] for key in keys]]
+        w, v = eigh_hermitian(np.array(h0_weight)[:, None, None, None] * h0
+                              + rf_scales[:, None, None] * rf[:, None])
+        group = [generators[key] for key, _ in classes]
+        class_stacks = expm_eigh(w[group], v[group], np.array([t for _, t in classes])[:, None])
+        stacks = class_stacks[[classes[c] for c in zip(keys, times)]]
         stacks *= np.exp(-1j * np.array(phis)[:, None, None] * _SPREAD)[:, None]
         for i, stack in zip(pulses, stacks):
             ops[i] = stack
-    chained = {}
-    eye = np.broadcast_to(np.eye(8, dtype=complex), (len(rf_scales), 8, 8))
-    for leaf, order in orders.items():
-        u = eye
+    products = {}  # id of a program in programs -> its (B, 8, 8) product
+    for leaf, order in zip(leaves, orders):
+        u = np.ones(8, dtype=complex)  # the phases of a diagonal product, until the first pulse
         for diagonal, run in groupby((ops[i] for i in order), key=lambda op: op.ndim == 1):
             if diagonal:
-                u = reduce(np.multiply, run)[:, None] * u
+                u = reduce(np.multiply, run, u) if u.ndim == 1 else reduce(np.multiply, run)[:, None] * u
             else:
                 for stack in run:
-                    u = stack @ u
-        chained[leaf] = u
-    out = np.empty((len(chunk), len(rf_scales), 8, 8), dtype=complex)
-    for k, p in enumerate(chunk):
-        first, *rest = (chained[id(leaf)] for leaf in p.parts or (p,))
-        out[k] = reduce(lambda u, part: part @ u, rest, first)
+                    u = stack @ u if u.ndim == 3 else stack * u  # times diag(u): column scaling
+        products[id(leaf)] = u if u.ndim == 3 else np.broadcast_to(np.diag(u), (len(rf_scales), 8, 8))
+    for node in programs:
+        if node.parts:
+            products[id(node)] = _product([products[id(part)] for part in node.parts])
+    out = np.array([products[id(p)] for p in chunk])
     defect = unitarity_defect(out)  # the exit check, once per chunk
     if defect > 1e-10:
         raise ValueError(f"propagator is not unitary: defect {defect:.3e}")

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# All operator matrices entering expm_generator are exact sums of Pauli
+# All operator matrices entering eigh_hermitian are exact sums of Pauli
 # products scaled by physical constants, so a tight absolute tolerance is safe.
 HERMITIAN_TOL = 1e-10
 
@@ -24,22 +24,31 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])), initial=0.0))
 
 
-def expm_generator(h: np.ndarray, t) -> np.ndarray:
-    """exp(-i h t) for Hermitian generators h (rad/s) and durations t (s).
+def eigh_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of Hermitian generators h (rad/s).
 
-    h is one real or complex matrix or (..., n, n) stack and t broadcasts
-    against h.shape[:-2]; one eigh covers the stack. Raises ValueError if h is
-    not Hermitian within HERMITIAN_TOL, reporting the largest asymmetry.
+    h is one real or complex matrix or (..., n, n) stack; one eigh covers the
+    stack, a real one for a real h. Raises ValueError if h is not Hermitian
+    within HERMITIAN_TOL, reporting the largest asymmetry.
     """
-    h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)  # real: a real eigh
+    h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
     defect = hermiticity_defect(h)
     if defect > HERMITIAN_TOL:
         raise ValueError(
             f"generator is not Hermitian: max |H - H†| = {defect:.3e} "
             f"(tolerance {HERMITIAN_TOL:.0e})"
         )
-    w, v = np.linalg.eigh(h)
-    del h  # the caller may pass its only reference: one stack fewer below
-    phases = np.exp(-1j * w * np.asarray(t)[..., None])
-    vp = v * phases[..., None, :]
-    return vp @ np.conj(v, out=v).swapaxes(-1, -2)  # in place: one stack fewer at a time
+    return np.linalg.eigh(h)
+
+
+def expm_eigh(w: np.ndarray, v: np.ndarray, t) -> np.ndarray:
+    """exp(-i h t) from the eigenvalues w and eigenvectors v of h (eigh_hermitian);
+    t broadcasts against w.shape[:-1]."""
+    vp = v * np.exp(-1j * w * np.asarray(t)[..., None])[..., None, :]
+    return vp @ v.conj().swapaxes(-1, -2)
+
+
+def expm_generator(h: np.ndarray, t) -> np.ndarray:
+    """exp(-i h t) for Hermitian generators h (rad/s) and durations t (s), which
+    broadcast against h.shape[:-2]; checked as in eigh_hermitian."""
+    return expm_eigh(*eigh_hermitian(h), t)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 TWO_PI = 2.0 * math.pi
 
@@ -91,9 +92,14 @@ class PulseProgram:
     label: str = ""
     kappa: float | None = None
     meta: tuple = ()  # ordered (key, value) pairs, e.g. receiver phases
-    # the leaves a join was built from, in time order (() otherwise): the engine
-    # chains each distinct leaf object once. Not part of equality or repr.
+    # the programs a join was built from, in time order (() otherwise), so parts
+    # form a tree: the engine forms each distinct program object's product once.
+    # Not part of equality or repr.
     parts: tuple = field(default=(), init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.kappa is not None and not math.isfinite(self.kappa):
+            raise ValueError(f"kappa must be finite, got {self.kappa!r}")
 
     @property
     def nominal_duration(self) -> float:
@@ -106,11 +112,11 @@ class PulseProgram:
 
 
 def join(programs, label: str = "", kappa: float | None = None, meta: tuple = ()) -> PulseProgram:
-    """The programs in time order as one program with this label, kappa and meta. Its
-    parts are theirs, or they themselves if they have none, kept by identity."""
-    leaves = tuple(leaf for p in programs for leaf in p.parts or (p,))
-    out = PulseProgram(tuple(ev for leaf in leaves for ev in leaf.events), label, kappa, meta)
-    object.__setattr__(out, "parts", leaves)
+    """The programs in time order as one program with this label, kappa and meta.
+    Its parts are the programs themselves, kept by identity, and its events theirs."""
+    programs = tuple(programs)
+    out = PulseProgram(tuple(chain.from_iterable(p.events for p in programs)), label, kappa, meta)
+    object.__setattr__(out, "parts", programs)
     return out
 
 

@@ -125,13 +125,10 @@ def test_broadband_geodesic_sparse_layout():
 def test_swap_repeats_one_core(build, label, kappa):
     p = build()
     assert (p.label, p.kappa, p.meta) == (label, kappa, ())  # the core's meta is not kept
-    n = (len(p.parts) - 3) // 3  # parts: head, core, mid, core, tail, core
-    core, second, third = p.parts[1:1 + n], p.parts[2 + n:2 + 2 * n], p.parts[3 + 2 * n:]
-    assert len(p.parts) == 3 * n + 3
-    assert all(a is b is c for a, b, c in zip(core, second, third, strict=True))
-    assert p.events == sum((leaf.events for leaf in p.parts), ())
-    if n == 1:
-        assert p.parts[1] is p.parts[3] is p.parts[5]
+    head, core, mid, second, tail, third = p.parts  # a joined core stays one part
+    assert core is second is third
+    assert p.events == head.events + core.events + mid.events + core.events + tail.events + core.events
+    assert core.events == sum((part.events for part in core.parts or (core,)), ())
 
 
 @pytest.mark.parametrize("scheme, periods", [
@@ -189,6 +186,47 @@ def test_refocusing_a_join_equals_refocusing_its_flat_copy(p):
     u = propagator_of(p, SpinSystem(88.0, 85.0, 3.0, 0.0, 0.0, 0.0))
     v = propagator_of(q, SpinSystem(88.0, 85.0, 3.0, 200.0, -300.0, 500.0))
     assert fidelity(u, v) >= 1.0 - 1e-12
+
+
+@st.composite
+def _nested(draw):
+    """A join whose parts are leaves and earlier joins of a growing pool, so
+    joins nest and leaf and node objects repeat at different pi counts."""
+    pool = draw(st.lists(_LEAF, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(1, 4))):
+        pool.append(join(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))))
+    return join(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)), "j", 0.5, (("k", "v"),))
+
+
+def _tree_events(p):
+    """p's events as its parts' tree composes them, checked at every node."""
+    if not p.parts:
+        return p.events
+    events = sum((_tree_events(part) for part in p.parts), ())
+    assert events == p.events
+    return events
+
+
+@settings(max_examples=200)
+@given(_nested())
+def test_refocusing_a_nested_join_equals_refocusing_its_flat_copy(p):
+    q = refocus_offsets(p)
+    flat = refocus_offsets(PulseProgram(p.events, p.label, p.kappa, p.meta))
+    assert q == flat and repr(q) == repr(flat)
+    assert _tree_events(q) == flat.events
+    diff = propagator_of(q, OFFSET_SYS) - propagator_of(flat, OFFSET_SYS)
+    assert np.max(np.abs(diff)) < 1e-12
+
+
+def test_refocusing_a_deep_chain_of_pairwise_joins_equals_its_flat_copy():
+    blocks = [PulseProgram((HardPulse(frozenset({2}), 0.5, 0.3), Delay(2e-4))), PulseProgram((Delay(1e-4),)),
+              PulseProgram((ZRotation(1, 0.3),))]
+    p = blocks[0]
+    for i in range(1500):  # deeper than the interpreter's recursion limit
+        p = join((p, blocks[i % 3]))
+    q = refocus_offsets(p)
+    assert q == refocus_offsets(PulseProgram(p.events))
+    assert len(q.parts) == 2 and q.events == q.parts[0].events + q.parts[1].events  # still nested
 
 
 def test_dense_broadband_core_keeps_the_train_structure():

@@ -59,10 +59,10 @@ def test_curves_rows(capsys):
     assert float(one[8]) == pytest.approx(1.1547, abs=1e-3)  # s_D at 1
 
 
-def test_curves_empty_range_is_header_only(capsys):
-    code, out = run(capsys, "curves", "--kappa", "0.9:0.5")
-    assert code == 0
-    assert out.strip() == "kappa,tau_A,tau_B,tau_C,tau_D,s_A,s_B,s_C,s_D,rA,rC,rD"
+def test_curves_empty_range_is_rejected(capsys):
+    assert cli.main(["curves", "--kappa", "0.9:0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "--kappa '0.9:0.5': empty range\n"
 
 
 def test_curves_malformed_range(capsys):
@@ -240,6 +240,8 @@ def test_oversized_kappa_grid_rejected_before_it_is_built(capsys, command, kappa
      "--kappa '3:4:1': kappa must be in [0, 2], got 3.0"),
     (["curves", "--kappa", "0.5:3:1"], None,
      "--kappa '0.5:3:1': kappa must be in (0, 1] for ratio rows, got 1.5"),
+    (["eta-sweep", "--variant", "B", "--kappa", "2:1"], None, "--kappa '2:1': empty range"),
+    (["curves", "--kappa", "1:0.5"], None, "--kappa '1:0.5': empty range"),
     (["eta-sweep", "--variant", "B", "--kappa", "1:1", "--config", "{cfg}"], "j12 88\n",
      "config line 1: expected key=value"),
     (["eta-sweep", "--variant", "B", "--kappa", "1:1", "--config", "{cfg}"], "# a\ncoupling = 88\n",
@@ -256,7 +258,7 @@ def test_oversized_kappa_grid_rejected_before_it_is_built(capsys, command, kappa
     (["compile", "--variant", "B", "--kappa", "1", "--out", "{missing}/x.pp"], None,
      "cannot write "),
 ], ids=["kappa-value", "kappa-shape", "kappa-size", "kappa-domain-tail", "kappa-domain-all",
-        "curves-kappa-domain", "config-no-equals", "config-key",
+        "curves-kappa-domain", "kappa-empty", "curves-kappa-empty", "config-no-equals", "config-key",
         "config-value", "config-rf-grid", "config-unreadable", "variant", "suite", "j", "out"])
 def test_every_command_error_returns_2_with_one_stderr_line(tmp_path, capsys, argv, config,
                                                             message):

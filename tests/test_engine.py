@@ -19,7 +19,7 @@ from trispin.engine import (
     propagator_stack,
     propagator_stacks,
 )
-from trispin.linalg import expm_generator, unitarity_defect
+from trispin.linalg import expm_eigh, expm_generator, unitarity_defect
 from trispin.metrics import eta_curve, fidelity, transfer_efficiency
 from trispin.pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, join
 from trispin.sequences import build_swap13, build_uzzz
@@ -372,7 +372,7 @@ def test_pulse_unitaries_match_the_taylor_oracle(ev, sys, settings, scales):
         assert np.max(np.abs(u - expm_taylor(h, t))) < 1e-12
 
 
-def test_one_real_eigh_per_phase_free_pulse(monkeypatch):
+def test_one_real_eigh_per_pulse_generator(monkeypatch):
     eigh, calls = np.linalg.eigh, []
 
     def counted(a, *args, **kwargs):
@@ -385,11 +385,30 @@ def test_one_real_eigh_per_phase_free_pulse(monkeypatch):
     j = 0.5 * (sys.j12 + sys.j23)
     scheme = BroadbandScheme(n=default_dante_n(max(kappas), j), sparse_pi=True)
     pulses = {ev for kappa in kappas for ev in build_swap13_broadband("D", kappa, j, scheme).events
-              if isinstance(ev, WeakPulse) or isinstance(ev, HardPulse) and ev.flip != 0.0}
-    classes = {replace(ev, phase=0.0) for ev in pulses}
-    points = REALISTIC.rf_grid_points
-    assert [dtype for dtype, _ in calls] == [np.float64]
-    assert calls[0][1] == points * len(classes) < points * len(pulses)
+              if isinstance(ev, HardPulse) and ev.flip != 0.0}
+    # a finite hard pulse's generator depends on its targets only: spin 2 (the
+    # DANTE sub-pulses, V_D and W), spins 1 and 3 (the SWAP frame) and all three (the pis)
+    assert {ev.targets for ev in pulses} == {frozenset({2}), frozenset({1, 3}), frozenset({1, 2, 3})}
+    assert len({replace(ev, phase=0.0) for ev in pulses}) > 3
+    assert calls == [(np.float64, REALISTIC.rf_grid_points * 3)]
+
+
+def test_a_d_swap_forms_its_core_product_once(monkeypatch):
+    sizes = []
+    real = engine._product
+
+    def counting(stacks):
+        sizes.append(len(stacks))
+        return real(stacks)
+
+    monkeypatch.setattr(engine, "_product", counting)
+    p = build_swap13_broadband("D", 0.8, J, BroadbandScheme(n=16, sparse_pi=True))
+    head, core, mid, _, tail, _ = p.parts
+    assert len(core.parts) == 6 and all(period is core.parts[1] for period in core.parts[1:5])
+    propagator_of(p, acetamide(), REALISTIC)
+    # one product of the core's 6 parts and one of the SWAP's 6: 10 matmuls, where
+    # the SWAP's 3 + 3 * 6 leaves as one flat chain took 20
+    assert sizes == [6, 6]
 
 
 def test_sweep_longer_than_a_chunk_equals_points_one_at_a_time():
@@ -422,7 +441,7 @@ def test_empty_scale_grid_gives_empty_stacks():
 
 
 def test_non_unitary_result_is_rejected(monkeypatch):
-    monkeypatch.setattr(engine, "expm_generator", lambda h, t: 1.5 * expm_generator(h, t))
+    monkeypatch.setattr(engine, "expm_eigh", lambda w, v, t: 1.5 * expm_eigh(w, v, t))
     with pytest.raises(ValueError, match="propagator is not unitary"):
         propagator_of(build_uzzz("B", 1.0, J), SYS)
 
@@ -459,6 +478,38 @@ def test_composed_programs_longer_than_a_chunk_match_event_loop(programs, sys, s
     for p, stack in zip(programs, stacks):
         for u, c in zip(stack, scales):
             assert np.max(np.abs(u - propagator_loop(p, sys, settings, c))) < 1e-12
+
+
+@st.composite
+def _nested_lists(draw):
+    """Programs drawn from a pool of leaves and joins of earlier pool entries,
+    so joins nest and leaf and node objects repeat within and across programs."""
+    pool = draw(st.lists(_LEAVES, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(1, 5))):
+        pool.append(join(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2 * engine._CHUNK))
+
+
+@given(_nested_lists(), _SYSTEMS, _SETTINGS, _SCALES)
+def test_nested_joins_match_their_flat_copies_and_event_loop(programs, sys, settings, scales):
+    flat = [PulseProgram(p.events) for p in programs]
+    stacks = list(propagator_stacks(programs, sys, settings, scales))
+    assert len(stacks) == len(programs)
+    for p, q, stack, flat_stack in zip(programs, flat, stacks,
+                                       propagator_stacks(flat, sys, settings, scales)):
+        assert np.max(np.abs(stack - flat_stack), initial=0.0) < 1e-12
+        for u, c in zip(stack, scales):
+            assert np.max(np.abs(u - propagator_loop(q, sys, settings, c))) < 1e-12
+
+
+def test_a_deep_chain_of_pairwise_joins_propagates():
+    pulse = PulseProgram((HardPulse(frozenset({2}), 0.1, 0.3),))
+    delay = PulseProgram((Delay(1e-4),))
+    p = pulse
+    for i in range(3000):  # deeper than the interpreter's recursion limit
+        p = join((p, delay if i % 2 else pulse))
+    u = propagator_of(p, acetamide(), REALISTIC)
+    assert np.max(np.abs(u - propagator_of(PulseProgram(p.events), acetamide(), REALISTIC))) < 1e-10
 
 
 @pytest.mark.parametrize("settings", [IDEAL, REALISTIC])

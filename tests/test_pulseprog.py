@@ -141,8 +141,11 @@ def test_join_records_its_leaves_outside_equality():
     assert flat.parts == () and a.parts == ()
     assert p == flat and hash(p) == hash(flat) and repr(p) == repr(flat)
     assert serialize_program(p) == serialize_program(flat)
-    # a join of joins lists leaves, never nested joins
-    assert join((p, join((b, a)))).parts == (a, b, a, b, a)
+    # a join of joins keeps each operand as one part: parts form a tree
+    inner = join((b, a))
+    outer = join((p, inner))
+    assert outer.parts == (p, inner) and outer.parts[0] is p and outer.parts[1] is inner
+    assert outer.events == a.events + b.events + a.events + b.events + a.events
     assert replace(p, label="y").parts == ()
     # the label, kappa and meta are the join's own, never merged from its operands
     assert (join((a, b)).label, join((a, b)).kappa, join((a, b)).meta) == ("", None, ())
@@ -159,8 +162,12 @@ def test_one_join_equals_the_chain_of_pairwise_joins(count):
         chain = join((chain, q), "x", 0.5)
     joined = join(iter(programs), "x", 0.5)
     assert joined == chain and joined.meta == ()
-    assert len(joined.parts) == len(chain.parts) == count
-    assert all(a is b is programs[k] for k, (a, b) in enumerate(zip(joined.parts, chain.parts)))
+    assert len(joined.parts) == count and all(a is b for a, b in zip(joined.parts, programs))
+    # the chain nests: each pairwise join holds the previous one as its first part
+    for q in reversed(programs[1:]):
+        chain, last = chain.parts
+        assert last is q
+    assert chain.parts == (programs[0],) and chain.parts[0] is programs[0]
 
 
 def test_total_duration_realistic_adds_pulse_widths():
@@ -239,6 +246,29 @@ def test_text_and_parsed_programs_of_every_builder_are_pinned():
         digest.update(text.encode())
         digest.update(repr(parse_program(text)).encode())
     assert digest.hexdigest() == "6d8001431b4840654fafa110dcc91e40c21a59ed221d4c31ec120bba36a43880"
+
+
+def test_repr_and_text_of_every_builder_output_are_pinned():
+    # captured before joins nested; the refocused SWAPs map nested parts
+    extra = [refocus_offsets(build_swap13(v, 0.7, 88.0)) for v in "ABC"]
+    extra += [refocus_offsets(build_swap13_broadband("D", 0.7, 88.0, BroadbandScheme(n=16, sparse_pi=s)))
+              for s in (False, True)]
+    digest = hashlib.sha256()
+    for p in [*_builder_outputs(), *extra]:
+        digest.update(repr(p).encode())
+        digest.update(serialize_program(p).encode())
+    assert digest.hexdigest() == "5e38d863ebb6a9ee5335a97bd97cae2d650263d1878a4ef5a19aebf1b49dd6e4"
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+def test_non_finite_program_kappa_rejected(kappa):
+    with pytest.raises(ValueError, match="kappa must be finite"):
+        PulseProgram((Delay(1e-3),), kappa=kappa)
+    with pytest.raises(ValueError, match="kappa must be finite"):
+        join((PulseProgram((Delay(1e-3),)),), kappa=kappa)
+    # so every program's text parses back
+    p = PulseProgram((Delay(1e-3),), kappa=None)
+    assert parse_program(serialize_program(p)) == p
 
 
 def test_signed_zeros_of_equal_events_keep_their_own_text():
