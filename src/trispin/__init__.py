@@ -51,11 +51,9 @@ from .engine import (
     IDEAL,
     SimulationSettings,
     ensemble_scales,
-    evolve,
     evolve_many,
     offset_scan,
     propagator_of,
-    propagator_stack,
     propagator_stacks,
     total_duration,
 )

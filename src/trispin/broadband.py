@@ -20,10 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, join
+from .pulseprog import TWO_PI, Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, join
 from .sequences import _check_j, _check_kappa, build_uzzz, compose_swap13, geodesic_tau
 
-TWO_PI = 2.0 * math.pi
 _X = 0.0
 # the refocusing pi(1,2,3) pulses in turn (x, -x, -x, x); their count divides every DANTE n
 _CYCLE = tuple(HardPulse(frozenset({1, 2, 3}), math.pi, phase) for phase in (_X, math.pi, math.pi, _X))
@@ -87,17 +86,6 @@ def _refocus_leaf(leaf: PulseProgram, start: int) -> tuple[PulseProgram, int]:
     return PulseProgram(tuple(events)), count - start
 
 
-def _end_with(p: PulseProgram, ev) -> PulseProgram:
-    """p with ev appended to its last leaf; the programs on the way are new objects."""
-    spine = [p]
-    while spine[-1].parts:
-        spine.append(spine[-1].parts[-1])
-    out = PulseProgram(spine.pop().events + (ev,))
-    for node in reversed(spine):
-        out = join(node.parts[:-1] + (out,))
-    return out
-
-
 def refocus_offsets(p: PulseProgram) -> PulseProgram:
     """Insert offset-refocusing pi pulses into every delay of an ideal program.
 
@@ -129,8 +117,8 @@ def refocus_offsets(p: PulseProgram) -> PulseProgram:
             frames.append([part_key, parts[i].parts, 0, part_key[1], []])
         else:
             mapped[part_key] = _refocus_leaf(parts[i], part_key[1])
-    if count % 2:  # the compensating pi ends the last leaf, as a new object
-        out[-1] = _end_with(out[-1], _CYCLE[count % len(_CYCLE)])
+    if count % 2:  # the compensating pi is one more part
+        out.append(PulseProgram((_CYCLE[count % len(_CYCLE)],)))
     meta = p.meta + (("transform", "refocus-offsets"),)
     return join(out, f"{p.label}-bb", p.kappa, meta)
 

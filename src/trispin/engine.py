@@ -9,16 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from itertools import groupby, islice
+from itertools import islice
 
 import numpy as np
 
 from .linalg import eigh_hermitian, expm_eigh, hermiticity_defect, unitarity_defect
-from .pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation
+from .pulseprog import TWO_PI, Delay, HardPulse, PulseProgram, WeakPulse, ZRotation
 from .spinsys import SpinSystem, free_hamiltonian, rf_hamiltonian, spin_operator
-
-TWO_PI = 2.0 * math.pi
 
 # FWHM of a Gaussian = 2 sqrt(2 ln 2) sigma
 _FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -162,24 +159,32 @@ def _post_order(programs) -> list:
     return order
 
 
-def _product(stacks: list) -> np.ndarray:
-    """Product of (B, 8, 8) stacks in time order: the first acts first."""
-    return reduce(lambda u, stack: stack @ u, stacks)
+def _chain(terms) -> np.ndarray:
+    """Product of terms in time order, the first acting first. An (8,) diagonal
+    scales the rows; a (B, 8, 8) stack scales the columns while the product is
+    still an (8,) diagonal and multiplies it after that."""
+    u = np.ones(8, dtype=complex)
+    for op in terms:
+        if u.ndim == 1:
+            u = op * u
+        elif op.ndim == 1:
+            u = op[:, None] * u
+        else:
+            u = op @ u
+    return u
 
 
 def _lower_chunk(chunk, sys: SpinSystem, settings: SimulationSettings, h0, rf_scales):
-    """(K, B, 8, 8) propagators of K programs. Each distinct leaf (a program
-    without parts) is chained once: distinct events lowered once, one exp for
-    all delay/z-rotation phases, one real eigh for all distinct pulse generators
-    at all scales (sound because h0 is diagonal), one exp per phase-free class
-    (generator and time) and one for all pulse phases, one row scaling per
-    diagonal run, a column scaling for the first pulse event and one matmul per
-    later one. Then each distinct node (a program with parts) is formed once,
-    bottom-up: one matmul per part after its first."""
+    """(K, B, 8, 8) propagators of K programs. Distinct events are lowered once:
+    one exp for all delay/z-rotation phases, one real eigh for all distinct pulse
+    generators at all scales (sound because h0 is diagonal), one exp per
+    phase-free class (generator and time) and one for all pulse phases. Then each
+    distinct program of the parts trees is chained once, parts first: a leaf (a
+    program without parts) from its events, a node from its parts' products."""
     programs = _post_order(chunk)  # alive for the call, so their ids key products
-    leaves = [p for p in programs if not p.parts]
     index: dict = {}
-    orders = [[index.setdefault(ev, len(index)) for ev in leaf.events] for leaf in leaves]
+    orders = {id(p): [index.setdefault(ev, len(index)) for ev in p.events]
+              for p in programs if not p.parts}
     ops = [_lower(ev, sys, settings, h0) for ev in index]  # made phase vectors, stacks below
     diag = [i for i, op in enumerate(ops) if isinstance(op, np.ndarray)]
     for i, phases in zip(diag, np.exp(-1j * np.array([ops[i] for i in diag]))):
@@ -199,20 +204,12 @@ def _lower_chunk(chunk, sys: SpinSystem, settings: SimulationSettings, h0, rf_sc
         stacks *= np.exp(-1j * np.array(phis)[:, None, None] * _SPREAD)[:, None]
         for i, stack in zip(pulses, stacks):
             ops[i] = stack
-    products = {}  # id of a program in programs -> its (B, 8, 8) product
-    for leaf, order in zip(leaves, orders):
-        u = np.ones(8, dtype=complex)  # the phases of a diagonal product, until the first pulse
-        for diagonal, run in groupby((ops[i] for i in order), key=lambda op: op.ndim == 1):
-            if diagonal:
-                u = reduce(np.multiply, run, u) if u.ndim == 1 else reduce(np.multiply, run)[:, None] * u
-            else:
-                for stack in run:
-                    u = stack @ u if u.ndim == 3 else stack * u  # times diag(u): column scaling
-        products[id(leaf)] = u if u.ndim == 3 else np.broadcast_to(np.diag(u), (len(rf_scales), 8, 8))
-    for node in programs:
-        if node.parts:
-            products[id(node)] = _product([products[id(part)] for part in node.parts])
-    out = np.array([products[id(p)] for p in chunk])
+    products = {}  # id of a program in programs -> its (8,) phases or (B, 8, 8) product
+    for p in programs:
+        terms = [products[id(q)] for q in p.parts] if p.parts else [ops[i] for i in orders[id(p)]]
+        products[id(p)] = _chain(terms)
+    out = np.array([u if u.ndim == 3 else np.broadcast_to(np.diag(u), (len(rf_scales), 8, 8))
+                    for u in (products[id(p)] for p in chunk)])
     defect = unitarity_defect(out)  # the exit check, once per chunk
     if defect > 1e-10:
         raise ValueError(f"propagator is not unitary: defect {defect:.3e}")
@@ -235,16 +232,10 @@ def propagator_stacks(programs, sys: SpinSystem, settings: SimulationSettings = 
         yield from _lower_chunk(chunk, sys, settings, h0, rf_scales)
 
 
-def propagator_stack(p: PulseProgram, sys: SpinSystem,
-                     settings: SimulationSettings = IDEAL, scales=(1.0,)) -> np.ndarray:
-    """Total propagators of one program at each rf scale as a (B, 8, 8) stack."""
-    return next(propagator_stacks((p,), sys, settings, scales))
-
-
-def propagator_of(p: PulseProgram, sys: SpinSystem, settings: SimulationSettings = IDEAL,
-                  rf_scale: float = 1.0) -> np.ndarray:
-    """Total propagator of the program at one rf scale."""
-    return propagator_stack(p, sys, settings, (rf_scale,))[0]
+def propagator_of(p: PulseProgram, sys: SpinSystem,
+                  settings: SimulationSettings = IDEAL) -> np.ndarray:
+    """Total propagator of one program at the nominal rf amplitude."""
+    return next(propagator_stacks((p,), sys, settings))[0]
 
 
 def ensemble_scales(settings: SimulationSettings) -> tuple[np.ndarray, np.ndarray]:
@@ -268,12 +259,6 @@ def evolve_many(rho0: np.ndarray, programs, sys: SpinSystem,
     scales, weights = ensemble_scales(settings)
     for u in propagator_stacks(programs, sys, settings, scales):
         yield np.tensordot(weights, u @ rho0 @ u.conj().swapaxes(-1, -2), axes=1)
-
-
-def evolve(rho0: np.ndarray, p: PulseProgram, sys: SpinSystem,
-           settings: SimulationSettings = IDEAL) -> np.ndarray:
-    """U rho0 U†, averaged over the rf-ensemble scales with their weights."""
-    return next(evolve_many(rho0, (p,), sys, settings))
 
 
 def inclusive_grid(start: float, stop: float, step: float) -> list[float]:

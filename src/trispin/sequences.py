@@ -65,7 +65,7 @@ def _uzzz_a(kappa: float, j: float) -> list:
     # refocused (echo on spin 3); the lone J23 term needs J12 refocused
     # (echo on spin 1).
     zz12 = lambda: _echo(1.0 / (2 * j), refocus_spin=3)
-    events = [
+    return [
         HardPulse(frozenset({2}), -_D90, _X),
         *_inverted(zz12(), conj_spin=1),
         HardPulse(frozenset({2}), -_D90, _Y),
@@ -74,7 +74,6 @@ def _uzzz_a(kappa: float, j: float) -> list:
         *zz12(),
         HardPulse(frozenset({2}), _D90, _X),
     ]
-    return events
 
 
 def _uzzz_b(kappa: float, j: float) -> list:

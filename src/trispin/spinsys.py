@@ -12,7 +12,7 @@ Conventions (fixed once, everything else is locked to them by tests):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -67,19 +67,13 @@ class SpinSystem:
     def spins_on(self, channel: str) -> tuple[int, ...]:
         return tuple(k for k in (1, 2, 3) if self.channels[k - 1] == channel)
 
-    def with_offsets(self, nu1: float, nu2: float, nu3: float) -> "SpinSystem":
-        return SpinSystem(self.j12, self.j23, self.j13, nu1, nu2, nu3, self.channels)
-
     def shifted(self, channel: str, delta: float) -> "SpinSystem":
         """Shift the offsets of all spins on the given channel by delta (Hz)."""
         spins = self.spins_on(channel)
         if not spins:  # a misspelled channel would shift nothing
             raise ValueError(f"channel {channel!r}: no spin is on that channel "
                              f"(channels {sorted(set(self.channels))})")
-        nus = list(self.offsets)
-        for k in spins:
-            nus[k - 1] += delta
-        return self.with_offsets(*nus)
+        return replace(self, **{f"nu{k}": self.offsets[k - 1] + delta for k in spins})
 
 
 def ideal_chain(j: float) -> SpinSystem:

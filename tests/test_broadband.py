@@ -53,6 +53,22 @@ def test_odd_delay_count_gets_trailing_pi():
     assert fidelity(u, v) >= 1.0 - 1e-9
 
 
+@pytest.mark.parametrize("p", [
+    PulseProgram((Delay(1e-3),)),
+    join((PulseProgram((Delay(1e-3), HardPulse(frozenset({2}), 0.5, 0.3))),
+          join((PulseProgram((Delay(2e-3),)),) * 2))),
+])
+def test_odd_refocus_count_ends_with_a_one_event_pi_part(p):
+    q = refocus_offsets(p)
+    *body, last = q.parts
+    # the parts before it are p's, refocused, each with as many parts as before
+    assert [len(part.parts) for part in body] == [len(part.parts) for part in p.parts or (p,)]
+    assert last.parts == () and len(last.events) == 1
+    pi = last.events[0]
+    assert (pi.targets, pi.flip) == (frozenset({1, 2, 3}), math.pi)
+    assert q == refocus_offsets(PulseProgram(p.events))
+
+
 def test_inverted_frame_negates_later_phases_and_zrots():
     p = PulseProgram((Delay(1e-3), HardPulse(frozenset({1}), math.pi / 2, 0.3),
                       ZRotation(2, 0.5), Delay(1e-3)))
@@ -226,7 +242,9 @@ def test_refocusing_a_deep_chain_of_pairwise_joins_equals_its_flat_copy():
         p = join((p, blocks[i % 3]))
     q = refocus_offsets(p)
     assert q == refocus_offsets(PulseProgram(p.events))
-    assert len(q.parts) == 2 and q.events == q.parts[0].events + q.parts[1].events  # still nested
+    nested, last, pi = q.parts  # 1001 delays: the compensating pi is one more part
+    assert len(nested.parts) == 2 and q.events == nested.events + last.events + pi.events  # still nested
+    assert pi.parts == () and pi.events == (HardPulse(frozenset({1, 2, 3}), math.pi, math.pi),)
 
 
 def test_dense_broadband_core_keeps_the_train_structure():
@@ -241,7 +259,7 @@ def test_dense_broadband_core_keeps_the_train_structure():
 
 @pytest.mark.parametrize("v", ["A", "C"])
 def test_broadband_swap_of_a_flat_core_has_six_parts(v):
-    # the core is one refocused leaf: the engine chains four distinct leaves
+    # the core is one part: a join of A's refocused leaf, or of C's and its compensating pi
     p = build_swap13_broadband(v, 0.7, J, BroadbandScheme(sparse_pi=True))
     assert len(p.parts) == 6 and len({id(leaf) for leaf in p.parts}) == 4
     assert p.parts[1] is p.parts[3] is p.parts[5]

@@ -257,9 +257,12 @@ def test_oversized_kappa_grid_rejected_before_it_is_built(capsys, command, kappa
     (["verify", "limits", "--J", "-3"], None, "coupling J must be positive and finite, got -3.0"),
     (["compile", "--variant", "B", "--kappa", "1", "--out", "{missing}/x.pp"], None,
      "cannot write "),
+    (["compile", "--variant", "B", "--kappa", "1", "--n", "7", "--out", "{missing}"], None,
+     "DANTE segment count must be a positive multiple of 4, got 7"),
 ], ids=["kappa-value", "kappa-shape", "kappa-size", "kappa-domain-tail", "kappa-domain-all",
         "curves-kappa-domain", "kappa-empty", "curves-kappa-empty", "config-no-equals", "config-key",
-        "config-value", "config-rf-grid", "config-unreadable", "variant", "suite", "j", "out"])
+        "config-value", "config-rf-grid", "config-unreadable", "variant", "suite", "j", "out",
+        "compile-n"])
 def test_every_command_error_returns_2_with_one_stderr_line(tmp_path, capsys, argv, config,
                                                             message):
     cfg, missing = tmp_path / "run.cfg", tmp_path / "missing"

@@ -11,12 +11,10 @@ from trispin.engine import (
     IDEAL,
     SimulationSettings,
     ensemble_scales,
-    evolve,
     evolve_many,
     hard_pulse_width,
     offset_scan,
     propagator_of,
-    propagator_stack,
     propagator_stacks,
 )
 from trispin.linalg import expm_eigh, expm_generator, unitarity_defect
@@ -74,14 +72,14 @@ def test_ideal_mode_ignores_rf_amplitudes():
 def test_evolve_preserves_trace_and_hermiticity():
     rho0 = spin_operator(1, "x") + np.eye(8) / 8.0
     for settings in (IDEAL, REALISTIC):
-        rho = evolve(rho0, build_swap13("D", 1.0, J), SYS, settings)
+        rho = next(evolve_many(rho0, (build_swap13("D", 1.0, J),), SYS, settings))
         assert abs(np.trace(rho) - np.trace(rho0)) < 1e-10
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
 
 
 def test_evolve_identity_state_unchanged():
     rho0 = np.eye(8, dtype=complex) / 8.0
-    rho = evolve(rho0, build_swap13("A", 1.0, J), SYS, REALISTIC)
+    rho = next(evolve_many(rho0, (build_swap13("A", 1.0, J),), SYS, REALISTIC))
     assert np.max(np.abs(rho - rho0)) < 1e-10
 
 
@@ -89,7 +87,7 @@ def test_evolve_rejects_non_hermitian_state():
     bad = np.eye(8, dtype=complex)
     bad[0, 1] = 1.0
     with pytest.raises(ValueError):
-        evolve(bad, PulseProgram(), SYS)
+        next(evolve_many(bad, (PulseProgram(),), SYS))
 
 
 def test_ensemble_grid_shape_and_symmetry():
@@ -287,7 +285,7 @@ _EVENTS = st.one_of(
 _PROGRAMS = _EVENTS.map(lambda events: PulseProgram(tuple(events)))
 _BASE_SYSTEMS = st.sampled_from((SYS, acetamide(), SpinSystem(88.0, 85.0, 3.0, 120.0, -250.0, 410.0)))
 _OFFSET = st.floats(-1000.0, 1000.0)
-_SYSTEMS = _BASE_SYSTEMS | st.builds(lambda sys, nus: sys.with_offsets(*nus),
+_SYSTEMS = _BASE_SYSTEMS | st.builds(lambda s, nus: SpinSystem(s.j12, s.j23, s.j13, *nus, s.channels),
                                      _BASE_SYSTEMS, st.tuples(_OFFSET, _OFFSET, _OFFSET))
 _SETTINGS = st.builds(
     SimulationSettings,
@@ -305,19 +303,20 @@ _STATES = st.sampled_from((spin_operator(1, "x"), spin_operator(2, "y") + spin_o
 
 @given(_PROGRAMS, _SYSTEMS, _SETTINGS, _SCALES)
 def test_propagator_stack_matches_event_loop(p, sys, settings, scales):
-    stack = propagator_stack(p, sys, settings, scales)
+    stack = next(propagator_stacks((p,), sys, settings, scales))
     assert stack.shape == (len(scales), 8, 8)
     assert unitarity_defect(stack) < 1e-10
     for u, c in zip(stack, scales):
         assert np.max(np.abs(u - propagator_loop(p, sys, settings, c))) < 1e-12
-    assert np.max(np.abs(propagator_of(p, sys, settings, scales[0]) - stack[0])) < 1e-13
+    assert np.max(np.abs(propagator_of(p, sys, settings) - propagator_loop(p, sys, settings))) < 1e-12
 
 
 @given(_PROGRAMS, _SYSTEMS, _SETTINGS, _STATES)
 def test_evolve_matches_weighted_event_loop_sum(p, sys, settings, rho0):
-    assert np.max(np.abs(evolve(rho0, p, sys, settings) - evolve_loop(rho0, p, sys, settings))) < 1e-12
+    rho = next(evolve_many(rho0, (p,), sys, settings))
+    assert np.max(np.abs(rho - evolve_loop(rho0, p, sys, settings))) < 1e-12
     scales, _ = ensemble_scales(settings)
-    assert unitarity_defect(propagator_stack(p, sys, settings, scales)) < 1e-10
+    assert unitarity_defect(next(propagator_stacks((p,), sys, settings, scales))) < 1e-10
 
 
 # programs drawn from one pool share events; lists mix them with unrelated
@@ -358,7 +357,7 @@ def test_pulse_unitaries_match_the_taylor_oracle(ev, sys, settings, scales):
     # the engine exponentiates the phase-0 pulse and restores the phase entrywise;
     # the oracle exponentiates the complex generator at the pulse's phase directly
     h0 = np.diag(h0_diagonal_loops(sys.j12, sys.j23, sys.j13, *sys.offsets))
-    stack = propagator_stack(PulseProgram((ev,)), sys, settings, scales)
+    stack = next(propagator_stacks((PulseProgram((ev,)),), sys, settings, scales))
     for u, c in zip(stack, scales):
         c = c if settings.mode == "realistic" else 1.0
         if isinstance(ev, WeakPulse):
@@ -395,20 +394,23 @@ def test_one_real_eigh_per_pulse_generator(monkeypatch):
 
 def test_a_d_swap_forms_its_core_product_once(monkeypatch):
     sizes = []
-    real = engine._product
+    real = engine._chain
 
-    def counting(stacks):
-        sizes.append(len(stacks))
-        return real(stacks)
+    def counting(terms):
+        sizes.append(len(terms))
+        return real(terms)
 
-    monkeypatch.setattr(engine, "_product", counting)
+    monkeypatch.setattr(engine, "_chain", counting)
     p = build_swap13_broadband("D", 0.8, J, BroadbandScheme(n=16, sparse_pi=True))
     head, core, mid, _, tail, _ = p.parts
     assert len(core.parts) == 6 and all(period is core.parts[1] for period in core.parts[1:5])
+    leaves = {id(leaf): leaf for leaf in (head, mid, tail, *core.parts)}.values()
     propagator_of(p, acetamide(), REALISTIC)
-    # one product of the core's 6 parts and one of the SWAP's 6: 10 matmuls, where
-    # the SWAP's 3 + 3 * 6 leaves as one flat chain took 20
-    assert sizes == [6, 6]
+    # each distinct leaf is chained once from its events, then one product of the
+    # core's 6 parts and one of the SWAP's 6: 10 matmuls, where the SWAP's
+    # 3 + 3 * 6 leaves as one flat chain took 20
+    assert len(leaves) == 6
+    assert sorted(sizes) == sorted([len(leaf.events) for leaf in leaves] + [6, 6])
 
 
 def test_sweep_longer_than_a_chunk_equals_points_one_at_a_time():
@@ -417,7 +419,7 @@ def test_sweep_longer_than_a_chunk_equals_points_one_at_a_time():
     scales, _ = ensemble_scales(REALISTIC)
     stacks = list(propagator_stacks(programs, acetamide(), REALISTIC, scales))
     for p, stack in zip(programs, stacks):
-        assert np.array_equal(stack, propagator_stack(p, acetamide(), REALISTIC, scales))
+        assert np.array_equal(stack, next(propagator_stacks((p,), acetamide(), REALISTIC, scales)))
 
 
 def test_realistic_d_sweep_matches_per_point_evolve_loop():
@@ -437,7 +439,7 @@ def test_realistic_d_sweep_matches_per_point_evolve_loop():
 
 def test_empty_scale_grid_gives_empty_stacks():
     p = build_swap13("A", 1.0, J)
-    assert propagator_stack(p, SYS, REALISTIC, ()).shape == (0, 8, 8)
+    assert next(propagator_stacks((p,), SYS, REALISTIC, ())).shape == (0, 8, 8)
 
 
 def test_non_unitary_result_is_rejected(monkeypatch):
@@ -467,7 +469,7 @@ _COMPOSED_LISTS = st.lists(_LEAVES, min_size=1, max_size=4).flatmap(
 @given(_COMPOSED, _SYSTEMS, _SETTINGS, _SCALES)
 def test_composed_program_matches_event_loop(p, sys, settings, scales):
     assert p.events == sum((leaf.events for leaf in p.parts or (p,)), ())
-    for u, c in zip(propagator_stack(p, sys, settings, scales), scales):
+    for u, c in zip(next(propagator_stacks((p,), sys, settings, scales)), scales):
         assert np.max(np.abs(u - propagator_loop(p, sys, settings, c))) < 1e-12
 
 
@@ -518,8 +520,8 @@ def test_replace_flattens_and_keeps_the_propagator(settings):
     flat = replace(p, label="renamed")
     assert p.parts and flat.parts == () and flat.events == p.events
     scales, _ = ensemble_scales(settings)
-    diff = propagator_stack(flat, acetamide(), settings, scales) - propagator_stack(
-        p, acetamide(), settings, scales)
+    flat_stack, stack = propagator_stacks((flat, p), acetamide(), settings, scales)
+    diff = flat_stack - stack
     assert np.max(np.abs(diff)) < 1e-12
 
 

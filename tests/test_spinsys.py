@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -94,9 +96,9 @@ def test_system_helpers():
     assert sys.offsets == (0.0, 0.0, 0.0)
     shifted = sys.shifted("1H", 100.0)
     assert shifted.offsets == (100.0, 0.0, 100.0)
-    assert sys.with_offsets(1.0, 2.0, 3.0).offsets == (1.0, 2.0, 3.0)
+    assert replace(sys, nu1=1.0, nu2=2.0, nu3=3.0).offsets == (1.0, 2.0, 3.0)
     # offsets are set on the system only, so it is where non-finite ones stop
     with pytest.raises(ValueError, match="nu2 must be finite, got nan"):
-        sys.with_offsets(0.0, float("nan"), 0.0)
+        replace(sys, nu2=float("nan"))
     with pytest.raises(ValueError, match="nu1 must be finite, got inf"):
         sys.shifted("1H", float("inf"))
