@@ -141,8 +141,8 @@ def _lower(ev, sys: SpinSystem, settings: SimulationSettings, h0: np.ndarray):
     return (1.0, ev.targets, _pulse_amplitude(ev, sys, settings)), width, phase
 
 
-# programs lowered together; bounds the transient arrays, so a long sweep runs in constant memory
-_CHUNK = 8
+# programs x rf scales lowered together (one program at least); bounds the transient arrays
+_CHUNK_MEMBERS = 88
 
 
 def _post_order(programs) -> list:
@@ -219,16 +219,16 @@ def _lower_chunk(chunk, sys: SpinSystem, settings: SimulationSettings, h0, rf_sc
 def propagator_stacks(programs, sys: SpinSystem, settings: SimulationSettings = IDEAL,
                       scales=(1.0,)):
     """Yield each program's total propagators at the rf scales as a (B, 8, 8)
-    stack; events compose right-to-left in time. Draws _CHUNK programs at a
-    time and lowers them together. Ideal mode ignores scales."""
+    stack; events compose right-to-left in time. Draws max(1, _CHUNK_MEMBERS // B)
+    programs at a time and lowers them together. Ideal mode ignores scales."""
     for channel, _ in settings.rf_amplitudes:  # a misspelled channel would be ignored
         if channel not in sys.channels and channel not in DEFAULT_RF_AMPLITUDES:
             raise ValueError(f"rf_amplitudes[{channel!r}]: no spin is on that channel "
                              f"(channels {sorted(set(sys.channels))})")
     h0 = free_hamiltonian(sys).real
     rf_scales = np.asarray(scales, float) if settings.mode == "realistic" else np.ones(len(scales))
-    programs = iter(programs)
-    while chunk := list(islice(programs, _CHUNK)):
+    programs, size = iter(programs), max(1, _CHUNK_MEMBERS // max(1, len(rf_scales)))
+    while chunk := list(islice(programs, size)):
         yield from _lower_chunk(chunk, sys, settings, h0, rf_scales)
 
 

@@ -39,8 +39,9 @@ def _check_variant(v: str):
 
 
 def _check_j(j: float):
-    if not (math.isfinite(j) and j > 0):
-        raise ValueError(f"coupling J must be positive and finite, got {j}")
+    if not (math.isfinite(j) and j > 0 and math.isfinite(1.0 / j)):
+        why = " (1 / J overflows)" if math.isfinite(j) and j > 0 else ""  # a subnormal J
+        raise ValueError(f"coupling J must be positive and finite, got {j}{why}")
 
 
 def _echo(duration: float, refocus_spin: int) -> list:

@@ -128,10 +128,10 @@ def rf_hamiltonian(targets, amplitude: float, phase: float) -> np.ndarray:
     return 2 * np.pi * amplitude * h
 
 
-def target_trilinear(alpha: str, beta: str, gamma: str, kappa: float) -> np.ndarray:
-    """exp{-i 2 pi kappa I1a I2b I3g}, the effective trilinear propagator."""
+def target_trilinear(alpha: str, beta: str, gamma: str, kappa) -> np.ndarray:
+    """exp{-i 2 pi kappa I1a I2b I3g}; an array of kappas gives a stack from one eigh."""
     prod = spin_operator(1, alpha) @ spin_operator(2, beta) @ spin_operator(3, gamma)
-    return expm_generator(2 * np.pi * kappa * prod, 1.0)
+    return expm_generator(2 * np.pi * prod, kappa)
 
 
 def swap13_target() -> np.ndarray:

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trispin import cli
@@ -203,12 +204,18 @@ def test_compile_unwritable_path(capsys):
     ["verify", "identities", "--J", "inf"],
     ["verify", "limits", "--J", "nan"],  # limits never reads J; it is checked before any suite
     ["verify", "limits", "--J", "-3"],
+    # a subnormal J is positive and finite, but its durations 1 / J are inf
+    ["table1", "--J", "1e-320"],
+    ["compile", "--variant", "B", "--kappa", "1", "--out", os.devnull, "--J", "1e-320"],
+    ["verify", "identities", "--J", "1e-320"],
 ])
 def test_non_finite_j_exits_2_with_empty_stdout(capsys, argv):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("\n") == 1 and f"got {argv[-1]}" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("coupling J ") and f"got {argv[-1]}" in captured.err
+    assert ("(1 / J overflows)" in captured.err) == (argv[-1] == "1e-320")
 
 
 @pytest.mark.parametrize("command", ["curves", "eta-sweep"])
@@ -278,17 +285,19 @@ def test_kappa_grid_cap_is_inclusive():
     assert len(cli._parse_range(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
 
 
-def test_identity_suite_builds_each_target_once(monkeypatch):
-    calls = []
-    real = cli.target_trilinear
+def test_identity_suite_makes_two_eighs(monkeypatch, capsys):
+    eigh, calls = np.linalg.eigh, []
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "target_trilinear", counting)
-    assert all(value <= tol for _, value, tol in cli.SUITES["identities"](88.0))
-    assert len(calls) == len(set(calls)) == 20
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert cli.main(["verify", "identities"]) == 0
+    assert capsys.readouterr().out.count("PASS") == 4
+    # one for the 20 targets (the kappa = 1 generator) and one for the 80
+    # programs' pulse generators, all in one lowering chunk
+    assert len(calls) == 2 and calls[0] == (8, 8)
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -319,18 +320,28 @@ def test_evolve_matches_weighted_event_loop_sum(p, sys, settings, rho0):
     assert unitarity_defect(next(propagator_stacks((p,), sys, settings, scales))) < 1e-10
 
 
+# The property tests lower with a member budget of 8 instead of 88, so short
+# lists span several chunks at every drawn scale count (8 // B programs each)
+_BUDGET = 8
+
+
+def _small_chunks():
+    return mock.patch.object(engine, "_CHUNK_MEMBERS", _BUDGET)
+
+
 # programs drawn from one pool share events; lists mix them with unrelated
 # programs, so a chunk's programs differ in length and in event topology
 _PROGRAM_LISTS = st.lists(_EVENT, min_size=1, max_size=6).flatmap(
     lambda pool: st.lists(
         st.one_of(st.lists(st.sampled_from(pool), max_size=30), _EVENTS)
         .map(lambda events: PulseProgram(tuple(events))),
-        max_size=3 * engine._CHUNK))
+        max_size=3 * _BUDGET))
 
 
 @given(_PROGRAM_LISTS, _SYSTEMS, _SETTINGS, _SCALES)
 def test_propagator_stacks_match_event_loop(programs, sys, settings, scales):
-    stacks = list(propagator_stacks(programs, sys, settings, scales))
+    with _small_chunks():
+        stacks = list(propagator_stacks(programs, sys, settings, scales))
     assert len(stacks) == len(programs)
     for p, stack in zip(programs, stacks):
         assert stack.shape == (len(scales), 8, 8)
@@ -340,7 +351,8 @@ def test_propagator_stacks_match_event_loop(programs, sys, settings, scales):
 
 @given(_PROGRAM_LISTS, _SYSTEMS, _SETTINGS, _STATES)
 def test_evolve_many_matches_evolve_loop(programs, sys, settings, rho0):
-    rhos = list(evolve_many(rho0, iter(programs), sys, settings))
+    with _small_chunks():
+        rhos = list(evolve_many(rho0, iter(programs), sys, settings))
     assert len(rhos) == len(programs)
     for p, rho in zip(programs, rhos):
         assert np.max(np.abs(rho - evolve_loop(rho0, p, sys, settings))) < 1e-12
@@ -413,13 +425,40 @@ def test_a_d_swap_forms_its_core_product_once(monkeypatch):
     assert sorted(sizes) == sorted([len(leaf.events) for leaf in leaves] + [6, 6])
 
 
-def test_sweep_longer_than_a_chunk_equals_points_one_at_a_time():
-    kappas = [0.1 * i for i in range(2 * engine._CHUNK + 3)]
+def _sweep_equals_points_one_at_a_time(settings, scales):
+    size = engine._CHUNK_MEMBERS // len(scales)  # programs per chunk
+    kappas = [2.0 * i / (2 * size + 2) for i in range(2 * size + 3)]  # 2 chunks and 3 programs
     programs = [build_swap13_broadband("C", k, J) for k in kappas]
-    scales, _ = ensemble_scales(REALISTIC)
-    stacks = list(propagator_stacks(programs, acetamide(), REALISTIC, scales))
+    stacks = list(propagator_stacks(programs, acetamide(), settings, scales))
+    assert len(stacks) == len(programs)
     for p, stack in zip(programs, stacks):
-        assert np.array_equal(stack, next(propagator_stacks((p,), acetamide(), REALISTIC, scales)))
+        assert np.array_equal(stack, next(propagator_stacks((p,), acetamide(), settings, scales)))
+
+
+def test_sweep_longer_than_a_chunk_equals_points_one_at_a_time():
+    scales, _ = ensemble_scales(REALISTIC)  # B = 11: 8 programs per chunk
+    _sweep_equals_points_one_at_a_time(REALISTIC, scales)
+
+
+def test_ideal_sweep_longer_than_a_chunk_equals_points_one_at_a_time():
+    _sweep_equals_points_one_at_a_time(IDEAL, (1.0,))  # B = 1: 88 programs per chunk
+
+
+@pytest.mark.parametrize("members, size", [(0, 88), (1, 88), (2, 44), (11, 8), (13, 6), (89, 1),
+                                           (1001, 1)])
+def test_chunks_hold_at_most_the_member_budget(monkeypatch, members, size):
+    sizes = []
+    real = engine._lower_chunk
+
+    def counting(chunk, *args):
+        sizes.append(len(chunk))
+        return real(chunk, *args)
+
+    monkeypatch.setattr(engine, "_lower_chunk", counting)
+    programs = [PulseProgram((Delay(1e-4 * (k + 1)),)) for k in range(2 * size + 1)]
+    stacks = list(propagator_stacks(programs, SYS, REALISTIC, np.ones(members)))
+    assert len(stacks) == len(programs) and all(s.shape == (members, 8, 8) for s in stacks)
+    assert sizes == [size, size, 1]
 
 
 def test_realistic_d_sweep_matches_per_point_evolve_loop():
@@ -463,7 +502,7 @@ def _sums(pool):
 
 _COMPOSED = st.lists(_LEAVES, min_size=1, max_size=4).flatmap(_sums)
 _COMPOSED_LISTS = st.lists(_LEAVES, min_size=1, max_size=4).flatmap(
-    lambda pool: st.lists(_sums(pool), min_size=engine._CHUNK + 1, max_size=2 * engine._CHUNK))
+    lambda pool: st.lists(_sums(pool), min_size=_BUDGET + 1, max_size=2 * _BUDGET))
 
 
 @given(_COMPOSED, _SYSTEMS, _SETTINGS, _SCALES)
@@ -475,7 +514,8 @@ def test_composed_program_matches_event_loop(p, sys, settings, scales):
 
 @given(_COMPOSED_LISTS, _SYSTEMS, _SETTINGS, _SCALES)
 def test_composed_programs_longer_than_a_chunk_match_event_loop(programs, sys, settings, scales):
-    stacks = list(propagator_stacks(programs, sys, settings, scales))
+    with _small_chunks():
+        stacks = list(propagator_stacks(programs, sys, settings, scales))
     assert len(stacks) == len(programs)
     for p, stack in zip(programs, stacks):
         for u, c in zip(stack, scales):
@@ -489,16 +529,17 @@ def _nested_lists(draw):
     pool = draw(st.lists(_LEAVES, min_size=1, max_size=4))
     for _ in range(draw(st.integers(1, 5))):
         pool.append(join(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))))
-    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2 * engine._CHUNK))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2 * _BUDGET))
 
 
 @given(_nested_lists(), _SYSTEMS, _SETTINGS, _SCALES)
 def test_nested_joins_match_their_flat_copies_and_event_loop(programs, sys, settings, scales):
     flat = [PulseProgram(p.events) for p in programs]
-    stacks = list(propagator_stacks(programs, sys, settings, scales))
+    with _small_chunks():
+        stacks = list(propagator_stacks(programs, sys, settings, scales))
+        flat_stacks = list(propagator_stacks(flat, sys, settings, scales))
     assert len(stacks) == len(programs)
-    for p, q, stack, flat_stack in zip(programs, flat, stacks,
-                                       propagator_stacks(flat, sys, settings, scales)):
+    for q, stack, flat_stack in zip(flat, stacks, flat_stacks):
         assert np.max(np.abs(stack - flat_stack), initial=0.0) < 1e-12
         for u, c in zip(stack, scales):
             assert np.max(np.abs(u - propagator_loop(q, sys, settings, c))) < 1e-12

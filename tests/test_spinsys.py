@@ -79,6 +79,18 @@ def test_trilinear_target_is_expm_of_product():
                        expm_generator(gen, 1.0), atol=1e-12)
 
 
+@pytest.mark.parametrize("axes", ["zzz", "xzx", "yzy"])
+def test_trilinear_targets_over_a_kappa_array_equal_the_per_kappa_calls(axes):
+    kappas = [round(0.1 * i, 10) for i in range(0, 21)]
+    stack = target_trilinear(*axes, np.array(kappas))
+    assert stack.shape == (len(kappas), 8, 8)
+    prod = spin_operator(1, axes[0]) @ spin_operator(2, axes[1]) @ spin_operator(3, axes[2])
+    for kappa, u in zip(kappas, stack):
+        assert np.max(np.abs(u - target_trilinear(*axes, kappa))) < 1e-14
+        # the generator scaled by kappa, exponentiated at t = 1, as before arrays
+        assert np.max(np.abs(u - expm_generator(2 * np.pi * kappa * prod, 1.0))) < 1e-14
+
+
 def test_swap13_target_permutes_operators():
     p = swap13_target()
     assert np.allclose(p @ p.conj().T, np.eye(8), atol=1e-14)
