@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 from .pulseprog import TWO_PI, Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, join
 from .sequences import _check_j, _check_kappa, build_uzzz, compose_swap13, geodesic_tau
@@ -28,9 +29,13 @@ _X = 0.0
 _CYCLE = tuple(HardPulse(frozenset({1, 2, 3}), math.pi, phase) for phase in (_X, math.pi, math.pi, _X))
 
 
-def _check_segments(n: int):
+def _check_segments(n: int) -> int:
+    """n as a Python int (a numpy n would make the sub-delays numpy floats)."""
+    if not isinstance(n, Integral):  # a float n would fail later, as a TypeError
+        raise ValueError(f"DANTE segment count n must be an integer, got {n!r}")
     if n < 4 or n % 4 != 0:
         raise ValueError(f"DANTE segment count must be a positive multiple of 4, got {n}")
+    return int(n)
 
 
 @dataclass(frozen=True)
@@ -135,7 +140,7 @@ def _dante_train(p: PulseProgram, n: int, label: str, transform: str,
     is one period object joined n / period times: one segment, or with
     refocus one phase cycle of segments.
     """
-    _check_segments(n)
+    n = _check_segments(n)
     weak = [ev for ev in p.events if isinstance(ev, WeakPulse)]
     if len(weak) != 1:
         raise ValueError(f"expected exactly one weak pulse, found {len(weak)}")

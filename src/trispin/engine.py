@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
+from numbers import Integral
 
 import numpy as np
 
@@ -58,6 +59,8 @@ class SimulationSettings:
                                  f"got {amp!r}")
         if not 0.0 <= self.rf_fwhm < 1.0:
             raise ValueError("rf_fwhm must be in [0, 1)")
+        if not isinstance(self.rf_grid_points, Integral):
+            raise ValueError(f"rf_grid_points must be an integer, got {self.rf_grid_points!r}")
         if not 1 <= self.rf_grid_points <= MAX_GRID_POINTS or self.rf_grid_points % 2 == 0:
             raise ValueError(f"rf_grid_points must be odd, positive and at most {MAX_GRID_POINTS}, "
                              f"got {self.rf_grid_points!r}")
@@ -163,8 +166,10 @@ def _chain(terms) -> np.ndarray:
     """Product of terms in time order, the first acting first. An (8,) diagonal
     scales the rows; a (B, 8, 8) stack scales the columns while the product is
     still an (8,) diagonal and multiplies it after that."""
-    u = np.ones(8, dtype=complex)
-    for op in terms:
+    if not terms:
+        return np.ones(8, dtype=complex)
+    u = terms[0]  # never written in place: a one-term chain returns it
+    for op in islice(terms, 1, None):
         if u.ndim == 1:
             u = op * u
         elif op.ndim == 1:

@@ -22,13 +22,16 @@ def transfer_efficiency(rho_final: np.ndarray) -> float:
     return float(np.real(np.trace(rho_final @ spin_operator(3, "x"))) / I1X_NORM)
 
 
-def fidelity(u: np.ndarray, v: np.ndarray) -> float:
-    """|Tr(u† v)| / dim: 1 iff u and v agree up to a global phase."""
+def fidelity(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    """|Tr(u† v)| / dim: 1 iff u and v agree up to a global phase. Stacks of
+    matrices (..., d, d) broadcast against each other and give an array of
+    fidelities; one pair gives a float."""
     u = np.asarray(u)
     v = np.asarray(v)
-    if u.shape != v.shape:
+    if u.shape[-2:] != v.shape[-2:]:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return float(abs(np.trace(u.conj().T @ v)) / u.shape[0])
+    f = abs(np.trace(u.conj().swapaxes(-1, -2) @ v, axis1=-2, axis2=-1)) / u.shape[-1]
+    return f if f.ndim else float(f)
 
 
 def eta_curve(v: str, kappas, sys: SpinSystem,

@@ -22,7 +22,6 @@ VARIANTS = ("A", "B", "C", "D")
 _X = 0.0
 _Y = math.pi / 2
 _MX = math.pi
-_MY = 1.5 * math.pi
 
 _D90 = math.pi / 2
 _D180 = math.pi
@@ -44,19 +43,26 @@ def _check_j(j: float):
         raise ValueError(f"coupling J must be positive and finite, got {j}{why}")
 
 
-def _echo(duration: float, refocus_spin: int) -> list:
-    """Coupling evolution with all terms involving refocus_spin cancelled.
+# The fixed pulses are built once and shared by every program: events are
+# immutable values, and only delays and the kappa-dependent pulses are built per call
+_SPIN2 = frozenset({2})
+_PI_X1, _PI_X2, _PI_X3 = (HardPulse(frozenset({k}), _D180, _X) for k in (1, 2, 3))
+_P90X2, _M90X2 = HardPulse(_SPIN2, _D90, _X), HardPulse(_SPIN2, -_D90, _X)  # +-90x(2)
+_P90Y2, _M90Y2 = HardPulse(_SPIN2, _D90, _Y), HardPulse(_SPIN2, -_D90, _Y)  # +-90y(2)
 
-    delay/2 - pi_x(k) - delay/2 - pi_x(k): exact up to a global phase.
+
+def _echo(duration: float, flip: HardPulse) -> list:
+    """Coupling evolution with all terms involving flip's spin cancelled.
+
+    delay/2 - flip - delay/2 - flip, flip a pi_x pulse: exact up to a global phase.
     """
     half = Delay(duration / 2)
-    flip = HardPulse(frozenset({refocus_spin}), _D180, _X)
     return [half, flip, half, flip]
 
 
-def _inverted(block: list, conj_spin: int) -> list:
-    """Sign-flip all I_kz factors of a coupling block via pi_x(k) conjugation."""
-    flip = HardPulse(frozenset({conj_spin}), _D180, _X)
+def _inverted(block: list, flip: HardPulse) -> list:
+    """Sign-flip all I_kz factors of a coupling block by conjugation with flip,
+    a pi_x pulse on spin k."""
     return [flip, *block, flip]
 
 
@@ -65,28 +71,16 @@ def _uzzz_a(kappa: float, j: float) -> list:
     # then V_A: 90y(2), exp{-i pi I1z I2z}, 90x(2). J12 alone needs J23
     # refocused (echo on spin 3); the lone J23 term needs J12 refocused
     # (echo on spin 1).
-    zz12 = lambda: _echo(1.0 / (2 * j), refocus_spin=3)
-    return [
-        HardPulse(frozenset({2}), -_D90, _X),
-        *_inverted(zz12(), conj_spin=1),
-        HardPulse(frozenset({2}), -_D90, _Y),
-        *_echo(kappa / (2 * j), refocus_spin=1),
-        HardPulse(frozenset({2}), _D90, _Y),
-        *zz12(),
-        HardPulse(frozenset({2}), _D90, _X),
-    ]
+    zz12 = _echo(1.0 / (2 * j), _PI_X3)
+    return [_M90X2, *_inverted(zz12, _PI_X1), _M90Y2, *_echo(kappa / (2 * j), _PI_X1),
+            _P90Y2, *zz12, _P90X2]
 
 
 def _uzzz_b(kappa: float, j: float) -> list:
     # V_B^{-1}: -90y(2), inverse full-coupling delay; central kappa*90x(2);
     # V_B: full-coupling delay, 90y(2).
-    return [
-        HardPulse(frozenset({2}), -_D90, _Y),
-        *_inverted([Delay(1.0 / (2 * j))], conj_spin=2),
-        HardPulse(frozenset({2}), kappa * _D90, _X),
-        Delay(1.0 / (2 * j)),
-        HardPulse(frozenset({2}), _D90, _Y),
-    ]
+    full = Delay(1.0 / (2 * j))
+    return [_M90Y2, *_inverted([full], _PI_X2), HardPulse(_SPIN2, kappa * _D90, _X), full, _P90Y2]
 
 
 def _uzzz_c(kappa: float, j: float) -> list:
@@ -94,18 +88,9 @@ def _uzzz_c(kappa: float, j: float) -> list:
     # V_C^{-1}, the I2y-axis coupling evolution (90x(2) conjugation of a
     # plain delay), and V_C. The z-rotation sign is locked by the
     # brute-force identity test.
-    return [
-        ZRotation(2, -kappa * _D90),
-        HardPulse(frozenset({2}), -_D90, _Y),
-        *_inverted([Delay(1.0 / (4 * j))], conj_spin=2),
-        HardPulse(frozenset({2}), _D90, _Y),
-        HardPulse(frozenset({2}), _D90, _X),
-        Delay(kappa / (2 * j)),
-        HardPulse(frozenset({2}), -_D90, _X),
-        HardPulse(frozenset({2}), -_D90, _Y),
-        Delay(1.0 / (4 * j)),
-        HardPulse(frozenset({2}), _D90, _Y),
-    ]
+    quarter = Delay(1.0 / (4 * j))
+    return [ZRotation(2, -kappa * _D90), _M90Y2, *_inverted([quarter], _PI_X2), _P90Y2,
+            _P90X2, Delay(kappa / (2 * j)), _M90X2, _M90Y2, quarter, _P90Y2]
 
 
 def geodesic_tau(kappa: float) -> float:
@@ -124,12 +109,8 @@ def _uzzz_d(kappa: float, j: float) -> list:
     # V_D^{-1}: -90y(2); central simultaneous coupling + weak rf on spin 2
     # (phase -x) for tau*; then W = (2 - kappa/2)*180 x(2); then V_D: 90y(2).
     tau = geodesic_tau(kappa) / j
-    events = [HardPulse(frozenset({2}), -_D90, _Y)]
-    if tau > 0.0:
-        events.append(WeakPulse(frozenset({2}), weak_pulse_amplitude(kappa, j), tau, _MX))
-    events.append(HardPulse(frozenset({2}), (2.0 - kappa / 2.0) * _D180, _X))
-    events.append(HardPulse(frozenset({2}), _D90, _Y))
-    return events
+    weak = [WeakPulse(_SPIN2, weak_pulse_amplitude(kappa, j), tau, _MX)] if tau > 0.0 else []
+    return [_M90Y2, *weak, HardPulse(_SPIN2, (2.0 - kappa / 2.0) * _D180, _X), _P90Y2]
 
 
 _BUILDERS = {"A": _uzzz_a, "B": _uzzz_b, "C": _uzzz_c, "D": _uzzz_d}
@@ -167,6 +148,17 @@ def theoretical_limit(kappa: float) -> tuple[float, float]:
     return tau, 0.0 if tau == 0.0 else r / tau
 
 
+# The SWAP's frames, one leaf object each, shared by every SWAP: the engine chains
+# each once per lowering chunk. Programs are never changed after construction
+_SWAP_HEAD = PulseProgram((ZRotation(2, -_D90),  # exp{+i pi/2 I2z}
+                           # U_xzx = R U_zzz R^-1 with R = 90y(1,3) mapping z->x on spins 1, 3
+                           HardPulse(frozenset({1, 3}), -_D90, _Y)))
+_SWAP_MID = PulseProgram((HardPulse(frozenset({1, 3}), _D90, _Y),
+                          # U_yzy via R' = -90x(1,3) mapping z->y on spins 1, 3
+                          HardPulse(frozenset({1, 3}), _D90, _X)))
+_SWAP_TAIL = PulseProgram((HardPulse(frozenset({1, 3}), -_D90, _X),))
+
+
 def compose_swap13(core: PulseProgram, label: str, kappa: float) -> PulseProgram:
     """Indirect SWAP(1,3) program: U_zzz U_yzy U_xzx exp{+i pi/2 I2z}.
 
@@ -176,14 +168,8 @@ def compose_swap13(core: PulseProgram, label: str, kappa: float) -> PulseProgram
     three copies of the core are the same leaf objects (PulseProgram.parts),
     so the engine multiplies the core's events once.
     """
-    head = PulseProgram((ZRotation(2, -_D90),  # exp{+i pi/2 I2z}
-                         # U_xzx = R U_zzz R^-1 with R = 90y(1,3) mapping z->x on spins 1, 3
-                         HardPulse(frozenset({1, 3}), -_D90, _Y)))
-    mid = PulseProgram((HardPulse(frozenset({1, 3}), _D90, _Y),
-                        # U_yzy via R' = -90x(1,3) mapping z->y on spins 1, 3
-                        HardPulse(frozenset({1, 3}), _D90, _X)))
-    tail = PulseProgram((HardPulse(frozenset({1, 3}), -_D90, _X),))
-    return join((head, core, mid, core, tail, core), label, kappa)  # the last core is U_zzz
+    parts = (_SWAP_HEAD, core, _SWAP_MID, core, _SWAP_TAIL, core)
+    return join(parts, label, kappa)  # the last core is U_zzz
 
 
 def build_swap13(v: str, kappa: float, j: float) -> PulseProgram:

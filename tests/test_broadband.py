@@ -18,7 +18,8 @@ from trispin.broadband import (
 from trispin.engine import IDEAL, propagator_of
 from trispin.linalg import expm_generator
 from trispin.metrics import fidelity
-from trispin.pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, join
+from trispin.pulseprog import (Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, join,
+                               serialize_program)
 from trispin.sequences import build_swap13, build_uzzz, compose_swap13
 from trispin.spinsys import SpinSystem, ideal_chain, spin_operator, swap13_target, target_trilinear
 
@@ -109,6 +110,18 @@ def test_dante_validation():
         dante_discretize(build_uzzz("D", 1.0, J), 10)
     with pytest.raises(ValueError):
         dante_discretize(build_uzzz("B", 1.0, J), 16)
+    # a float count would pass the multiple-of-4 check and fail as a TypeError
+    with pytest.raises(ValueError, match=r"DANTE segment count n must be an integer, got 8\.0"):
+        dante_discretize(build_uzzz("D", 1.0, J), 8.0)
+    with pytest.raises(ValueError, match=r"DANTE segment count n must be an integer, got 16\.0"):
+        BroadbandScheme(n=16.0)
+
+
+@pytest.mark.parametrize("sparse_pi", [False, True])
+def test_a_numpy_segment_count_gives_the_same_program_text(sparse_pi):
+    p = broadband_geodesic(1.0, J, BroadbandScheme(n=np.int64(16), sparse_pi=sparse_pi))
+    q = broadband_geodesic(1.0, J, BroadbandScheme(n=16, sparse_pi=sparse_pi))
+    assert serialize_program(p) == serialize_program(q)
 
 
 def test_broadband_geodesic_offsets():

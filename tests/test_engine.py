@@ -133,6 +133,12 @@ def test_settings_validation():
         SimulationSettings(mode="realistic", rf_fwhm=0.1, rf_grid_points=10_000_001)
     largest = SimulationSettings(mode="realistic", rf_fwhm=0.1, rf_grid_points=9_999)
     assert largest.rf_grid_points == 9_999
+    # a float count would pass the range check and fail in ensemble_scales
+    with pytest.raises(ValueError, match=r"rf_grid_points must be an integer, got 11\.0"):
+        SimulationSettings(mode="realistic", rf_fwhm=0.1, rf_grid_points=11.0)
+    numpy_count = SimulationSettings(mode="realistic", rf_fwhm=0.1, rf_grid_points=np.int64(5))
+    assert np.array_equal(ensemble_scales(numpy_count)[0],
+                          ensemble_scales(replace(numpy_count, rf_grid_points=5))[0])
     with pytest.raises(ValueError):
         SimulationSettings(mode="realistic", rf_amplitudes={"1H": 0.0})
     with pytest.raises(ValueError):
@@ -423,6 +429,37 @@ def test_a_d_swap_forms_its_core_product_once(monkeypatch):
     # 3 + 3 * 6 leaves as one flat chain took 20
     assert len(leaves) == 6
     assert sorted(sizes) == sorted([len(leaf.events) for leaf in leaves] + [6, 6])
+
+
+def test_a_swap_chunk_chains_each_frame_leaf_once(monkeypatch):
+    sizes = []
+    real = engine._chain
+
+    def counting(terms):
+        sizes.append(len(terms))
+        return real(terms)
+
+    monkeypatch.setattr(engine, "_chain", counting)
+    swaps = [build_swap13("B", kappa, J) for kappa in (0.2, 0.7, 1.1, 1.6, 2.0)]
+    frames = [swaps[0].parts[i] for i in (0, 2, 4)]
+    assert [len(f.events) for f in frames] == [2, 2, 1]
+    assert len(list(propagator_stacks(swaps, SYS))) == len(swaps)  # one chunk at one scale
+    # the 3 shared frame leaves once, then per SWAP its 7-event core and its 6 parts
+    assert sorted(sizes) == sorted([2, 2, 1] + [7, 6] * len(swaps))
+
+
+def test_one_part_blocks_and_one_event_leaves_propagate_unchanged():
+    p = PulseProgram((HardPulse(frozenset({2}), 1.1, 0.4),))
+    q = PulseProgram((Delay(1e-3),))
+    # a one-term chain is its term's own array: nothing may write to it afterwards
+    programs = [p, join((p,)), join((join((p,)),)), q, join((q,)), join((p, q))]
+    stacks = list(propagator_stacks(programs, acetamide(), REALISTIC, ensemble_scales(REALISTIC)[0]))
+    u, d = stacks[0], stacks[3]
+    assert all(np.array_equal(s, u) for s in stacks[:3])
+    assert all(np.array_equal(s, d) for s in stacks[3:5])
+    assert np.max(np.abs(stacks[5] - d @ u)) < 1e-14
+    assert np.array_equal(stacks[0], next(propagator_stacks((p,), acetamide(), REALISTIC,
+                                                            ensemble_scales(REALISTIC)[0])))
 
 
 def _sweep_equals_points_one_at_a_time(settings, scales):

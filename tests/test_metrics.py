@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from trispin.engine import IDEAL, SimulationSettings, evolve_many
+from trispin.engine import IDEAL, SimulationSettings, evolve_many, propagator_stacks
 from trispin.metrics import eta_curve, fidelity, fig2_tables, transfer_efficiency
-from trispin.sequences import VARIANTS, build_swap13
+from trispin.sequences import VARIANTS, build_swap13, build_uzzz
 from trispin.spinsys import acetamide, ideal_chain, spin_operator, target_trilinear
 
 J = 88.0
@@ -32,6 +32,23 @@ def test_fidelity_properties():
     assert fidelity(u, v) == pytest.approx(fidelity(v, u))
     with pytest.raises(ValueError):
         fidelity(u, np.eye(4))
+
+
+def test_fidelity_over_stacks_equals_each_pair():
+    kappas = [0.1 * i for i in range(1, 21)]
+    targets = target_trilinear("z", "z", "z", np.array(kappas))  # (20, 8, 8)
+    programs = (build_uzzz(v, 0.9 * kappa, J) for v in VARIANTS for kappa in kappas)
+    stacks = np.array([u[0] for u in propagator_stacks(programs, SYS)]).reshape(4, 20, 8, 8)
+    f = fidelity(stacks, targets)
+    assert f.shape == (4, 20)
+    pairs = [[fidelity(stacks[i, k], targets[k]) for k in range(20)] for i in range(4)]
+    assert np.max(np.abs(f - np.array(pairs))) <= 1e-15
+    assert type(pairs[0][0]) is float
+    assert 0.9 < f.min() < f.max() < 1.0 - 1e-6  # 0.9 kappa: not the identity target
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        fidelity(stacks, targets[:, :4, :4])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        fidelity(stacks[:, :, :, :4], targets)
 
 
 def test_fidelity_identity_vs_uzzz():

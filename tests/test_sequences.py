@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from trispin.broadband import BroadbandScheme, build_swap13_broadband
 from trispin.engine import propagator_of
 from trispin.metrics import fidelity
-from trispin.pulseprog import WeakPulse
+from trispin.pulseprog import HardPulse, WeakPulse
 from trispin.sequences import (
     VARIANTS,
     build_swap13,
@@ -33,6 +34,23 @@ def test_uzzz_identity(v, kappa):
 def test_swap13_identity(v):
     u = propagator_of(build_swap13(v, 1.0, J), SYS)
     assert fidelity(u, swap13_target()) >= 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("v, fixed", [("A", 12), ("B", 4), ("C", 8), ("D", 2)])
+def test_fixed_pulses_are_shared_objects(v, fixed):
+    p, q = build_uzzz(v, 0.3, 60.0), build_uzzz(v, 1.7, 119.0)
+    # an event equal in two programs of different kappa and J depends on neither,
+    # and is then one object: the spin-2 frame pulses and the single-spin pis
+    same = [(a, b) for a, b in zip(p.events, q.events) if a == b]
+    assert len(same) == fixed and all(a is b and isinstance(a, HardPulse) for a, b in same)
+
+
+@pytest.mark.parametrize("v", VARIANTS)
+def test_swap_frames_are_shared_leaves(v):
+    swaps = [build_swap13(v, 0.4, J), build_swap13(v, 1.3, J), build_swap13(v, 1.0, 60.0),
+             build_swap13_broadband(v, 0.7, J, BroadbandScheme(n=16, sparse_pi=True))]
+    for i in (0, 2, 4):  # head, mid, tail
+        assert all(s.parts[i] is swaps[0].parts[i] and not s.parts[i].parts for s in swaps)
 
 
 def test_duration_table_at_kappa_one():
