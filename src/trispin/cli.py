@@ -33,8 +33,8 @@ def _fmt(x: float) -> str:
 
 
 def _parse_range(text: str, check=None):
-    """kappa range 'start:stop[:step]' -> nonempty list of grid values, each
-    passed to check, the domain check of the command that reads them."""
+    """kappa range 'start:stop[:step]' -> nonempty list of grid values, passed
+    whole to check, the domain check of the command that reads them."""
     parts = text.split(":")
     try:
         if len(parts) not in (2, 3):
@@ -43,8 +43,8 @@ def _parse_range(text: str, check=None):
         kappas = [round(k, 12) for k in inclusive_grid(float(parts[0]), float(parts[1]), step)]
         if not kappas:
             raise ValueError("empty range")
-        for kappa in kappas if check else ():
-            check(kappa)
+        if check:
+            check(kappas)
         return kappas
     except ValueError as exc:
         raise ValueError(f"--kappa {text!r}: {exc}") from None
@@ -170,19 +170,14 @@ def _verify_broadband(j: float):
 
 
 def _verify_limits(j: float):
-    tau = sequences.duration_scaling
-    worst = max(tau("D", k)[0] - min(tau(v, k)[0] for v in "ABC")
-                for k in (i / 200.0 for i in range(1, 201)))
+    samples = np.arange(1, 201) / 200.0
+    tau_d, *others = (sequences.duration_scaling(v, samples)[0] for v in "DABC")
+    worst = float(np.max(tau_d - np.min(others, axis=0)))
     yield "tau_D <= tau_A/B/C over 200 samples", max(worst, 0.0), 1e-12
-    periodicity = 0.0
-    for i in range(0, 65):
-        kappa = i / 64.0  # dyadic: 2n +/- kappa is exact in binary floats
-        base = sequences.theoretical_limit(kappa)
-        for n in (1, 2):
-            for k2 in (2 * n + kappa, 2 * n - kappa):
-                other = sequences.theoretical_limit(k2)
-                periodicity = max(periodicity, abs(base[0] - other[0]), abs(base[1] - other[1]))
-    yield "periodicity tau*(2n +/- kappa)", periodicity, 0.0
+    kappa = np.arange(65) / 64.0  # dyadic: 2n +/- kappa is exact in binary floats
+    shifted = np.array([2 * n + sign * kappa for n in (1, 2) for sign in (1, -1)])
+    base, other = (np.array(sequences.theoretical_limit(x)) for x in (kappa, shifted))
+    yield "periodicity tau*(2n +/- kappa)", float(np.max(np.abs(other - base[:, None]))), 0.0
 
 
 # the acceptance tests run these same suites

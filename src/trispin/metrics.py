@@ -70,9 +70,10 @@ def eta_curve(v: str, kappas, sys: SpinSystem,
     return list(zip(taus, etas))
 
 
-def _check_ratio_kappa(kappa: float):
-    if not 0.0 < kappa <= 1.0:
-        raise ValueError(f"kappa must be in (0, 1] for ratio rows, got {kappa}")
+def _check_ratio_kappa(kappa):
+    for k in np.asarray(kappa).ravel().tolist():  # a float or an array; NaN fails too
+        if not 0.0 < k <= 1.0:
+            raise ValueError(f"kappa must be in (0, 1] for ratio rows, got {k}")
 
 
 def fig2_tables(kappas) -> list[dict]:
@@ -80,16 +81,14 @@ def fig2_tables(kappas) -> list[dict]:
 
     Each row carries tau and s for A-D (tau in units of 1/J) plus the
     relative scaling factors r = s / s_B; kappa = 0 is rejected because
-    s_B = kappa would divide by zero.
+    s_B = kappa would divide by zero. Each column is computed over the whole
+    grid at once; the rows hold Python floats.
     """
-    rows = []
-    for kappa in kappas:
-        _check_ratio_kappa(kappa)
-        row = {"kappa": kappa}
-        for v in VARIANTS:
-            row[f"tau_{v}"], row[f"s_{v}"] = duration_scaling(v, kappa)
-        row["tau_star"], row["s_star"] = theoretical_limit(kappa)
-        for v in ("A", "C", "D"):
-            row[f"r_{v}"] = row[f"s_{v}"] / row["s_B"]
-        rows.append(row)
-    return rows
+    cols = {"kappa": np.array(list(kappas), dtype=float)}
+    _check_ratio_kappa(cols["kappa"])
+    for v in VARIANTS:
+        cols[f"tau_{v}"], cols[f"s_{v}"] = duration_scaling(v, cols["kappa"])
+    cols["tau_star"], cols["s_star"] = theoretical_limit(cols["kappa"])
+    for v in ("A", "C", "D"):
+        cols[f"r_{v}"] = cols[f"s_{v}"] / cols["s_B"]
+    return [dict(zip(cols, row)) for row in zip(*(c.tolist() for c in cols.values()))]

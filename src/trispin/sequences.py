@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, join
 
 VARIANTS = ("A", "B", "C", "D")
@@ -27,9 +29,10 @@ _D90 = math.pi / 2
 _D180 = math.pi
 
 
-def _check_kappa(kappa: float):
-    if not 0.0 <= kappa <= 2.0:
-        raise ValueError(f"kappa must be in [0, 2], got {kappa}")
+def _check_kappa(kappa):
+    for k in np.asarray(kappa).ravel().tolist():  # a float or an array; NaN fails too
+        if not 0.0 <= k <= 2.0:
+            raise ValueError(f"kappa must be in [0, 2], got {k}")
 
 
 def _check_variant(v: str):
@@ -93,9 +96,10 @@ def _uzzz_c(kappa: float, j: float) -> list:
             _P90X2, Delay(kappa / (2 * j)), _M90X2, _M90Y2, quarter, _P90Y2]
 
 
-def geodesic_tau(kappa: float) -> float:
-    """tau J of the time-optimal sequence: sqrt(kappa (4 - kappa)) / 2."""
-    return math.sqrt(kappa * (4.0 - kappa)) / 2.0
+def geodesic_tau(kappa: float | np.ndarray) -> float | np.ndarray:
+    """tau J of the time-optimal sequence, sqrt(kappa (4 - kappa)) / 2: a float or an array."""
+    tau = np.sqrt(kappa * (4.0 - kappa)) / 2.0  # np.sqrt, like math.sqrt, rounds correctly
+    return tau if tau.ndim else float(tau)
 
 
 def weak_pulse_amplitude(kappa: float, j: float) -> float:
@@ -125,27 +129,29 @@ def build_uzzz(v: str, kappa: float, j: float) -> PulseProgram:
     return PulseProgram(tuple(events), label=f"uzzz-{v}", kappa=kappa)
 
 
-def duration_scaling(v: str, kappa: float) -> tuple[float, float]:
+def duration_scaling(v: str, kappa: float | np.ndarray) -> tuple:
     """(tau * J, s) for variant v: duration in units of 1/J and scaling factor.
 
-    Satisfies s * (tau J) = kappa exactly.
+    kappa is a float, giving two Python floats, or an array, giving two arrays
+    of its shape. Satisfies s * (tau J) = kappa exactly.
     """
     _check_variant(v)
     _check_kappa(kappa)
-    closed_forms = {"A": (2.0 + kappa) / 2.0, "B": 1.0, "C": (1.0 + kappa) / 2.0}
-    tau = geodesic_tau(kappa) if v == "D" else closed_forms[v]
-    return tau, 0.0 if tau == 0.0 else kappa / tau
+    tau = {"A": (2.0 + kappa) / 2.0, "B": np.ones(np.shape(kappa)), "C": (1.0 + kappa) / 2.0,
+           "D": geodesic_tau(kappa)}[v]
+    s = np.divide(kappa, tau, out=np.zeros(np.shape(tau)), where=tau != 0.0)  # s = 0 at tau = 0
+    return (tau, s) if s.ndim else (float(tau), float(s))
 
 
-def theoretical_limit(kappa: float) -> tuple[float, float]:
-    """(tau* J, s*) - the time-optimal bound, valid for any real kappa.
+def theoretical_limit(kappa: float | np.ndarray) -> tuple:
+    """(tau* J, s*) - the time-optimal bound, valid for any finite real kappa, a
+    float (giving Python floats) or an array (giving arrays).
 
-    kappa is first reduced into [0, 1] using tau*(2n +/- kappa) = tau*(kappa).
+    kappa is first reduced into [0, 1] using tau*(2n +/- kappa) = tau*(kappa);
+    the bound there is sequence D's duration and scaling.
     """
-    r = math.fmod(abs(kappa), 2.0)
-    r = min(r, 2.0 - r)
-    tau = geodesic_tau(r)
-    return tau, 0.0 if tau == 0.0 else r / tau
+    r = np.fmod(np.abs(kappa), 2.0)  # NaN for a NaN or infinite kappa, which D rejects
+    return duration_scaling("D", np.minimum(r, 2.0 - r))
 
 
 # The SWAP's frames, one leaf object each, shared by every SWAP: the engine chains
@@ -182,6 +188,6 @@ def swap_duration_bookkeeping(j: float) -> dict:
     _check_j(j)
     return {
         "direct": 3.0 / (2.0 * j),
-        "conventional13": 9.0 / (2.0 * j),
-        "optimal13": 3.0 * math.sqrt(3.0) / (2.0 * j),
+        "conventional13": 3 * duration_scaling("A", 1.0)[0] / j,
+        "optimal13": 3 * duration_scaling("D", 1.0)[0] / j,
     }

@@ -300,6 +300,18 @@ def test_identity_suite_makes_two_eighs(monkeypatch, capsys):
     assert len(calls) == 2 and calls[0] == (8, 8)
 
 
+def test_limits_suite_makes_a_handful_of_closed_form_calls(monkeypatch, capsys):
+    calls = []
+    for name in ("duration_scaling", "theoretical_limit"):
+        form = getattr(cli.sequences, name)
+        monkeypatch.setattr(cli.sequences, name,
+                            lambda *args, form=form: calls.append(form) or form(*args))
+    assert cli.main(["verify", "limits"]) == 0
+    assert capsys.readouterr().out.count("PASS") == 2
+    # one per variant over the 200 samples, one per limit grid (each one D call)
+    assert len(calls) == 8
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 

@@ -126,3 +126,5 @@ def test_fig2_tables_rejects_kappa_zero():
         fig2_tables([0.0])
     with pytest.raises(ValueError):
         fig2_tables([1.5])
+    with pytest.raises(ValueError, match=r"in \(0, 1\] for ratio rows, got 1\.5$"):
+        fig2_tables([0.5, 1.5])

@@ -1,12 +1,15 @@
 import math
+from dataclasses import fields
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from trispin.broadband import BroadbandScheme, build_swap13_broadband
+from trispin.broadband import BroadbandScheme, broadband_uzzz, build_swap13_broadband
 from trispin.engine import propagator_of
 from trispin.metrics import fidelity
-from trispin.pulseprog import HardPulse, WeakPulse
+from trispin.pulseprog import HardPulse, WeakPulse, serialize_program
 from trispin.sequences import (
     VARIANTS,
     build_swap13,
@@ -156,7 +159,77 @@ def test_geodesic_tau_is_the_d_duration_and_the_limit(kappa):
     tau = math.sqrt(kappa * (4.0 - kappa)) / 2.0
     assert geodesic_tau(kappa) == tau == duration_scaling("D", kappa)[0]
     assert theoretical_limit(kappa)[0] == geodesic_tau(min(kappa, 2.0 - kappa))
+    # a float stays a Python float, since event fields are written with repr
+    assert all(type(x) is float for x in (geodesic_tau(kappa), *duration_scaling("D", kappa),
+                                          *theoretical_limit(kappa)))
+    assert geodesic_tau(np.array([kappa, kappa])).tolist() == [tau, tau]
     weak = [ev for ev in build_uzzz("D", kappa, J).events if isinstance(ev, WeakPulse)]
     assert [wp.duration for wp in weak] == ([tau / J] if kappa > 0.0 else [])
     if kappa > 0.0:
         assert weak_pulse_amplitude(kappa, J) == (2.0 - kappa) * J / (2.0 * tau)
+
+
+# scalar reference forms on Python floats: math.sqrt, math.fmod and min
+_SCALAR_TAU = {"A": lambda k: (2.0 + k) / 2.0, "B": lambda k: 1.0,
+               "C": lambda k: (1.0 + k) / 2.0, "D": lambda k: math.sqrt(k * (4.0 - k)) / 2.0}
+
+
+def _scalar_limit(kappa):
+    r = math.fmod(abs(kappa), 2.0)
+    r = min(r, 2.0 - r)
+    tau = _SCALAR_TAU["D"](r)
+    return tau, 0.0 if tau == 0.0 else r / tau
+
+
+def _kappa_arrays(elements):
+    return hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=6),
+                      elements=elements)
+
+
+def _same_bits(array, values):
+    return array.tobytes() == np.array(values, dtype=np.float64).reshape(array.shape).tobytes()
+
+
+@given(_kappa_arrays(st.floats(0.0, 2.0)))
+def test_closed_forms_over_an_array_are_the_scalar_calls_bit_for_bit(kappa):
+    ks = kappa.ravel().tolist()
+    for v in VARIANTS:
+        tau, s = duration_scaling(v, kappa)
+        taus, ss = zip(*(duration_scaling(v, k) for k in ks))
+        assert all(type(x) is float for x in taus + ss)
+        assert _same_bits(tau, taus) and _same_bits(s, ss)
+        old = [_SCALAR_TAU[v](k) for k in ks]
+        assert list(taus) == old
+        assert list(ss) == [0.0 if t == 0.0 else k / t for k, t in zip(ks, old)]
+    assert _same_bits(geodesic_tau(kappa), [geodesic_tau(k) for k in ks])
+
+
+@given(_kappa_arrays(st.floats(allow_nan=False, allow_infinity=False)))
+def test_theoretical_limit_over_an_array_is_the_scalar_calls_bit_for_bit(kappa):
+    ks = kappa.ravel().tolist()
+    tau, s = theoretical_limit(kappa)
+    scalar = [theoretical_limit(k) for k in ks]
+    taus, ss = zip(*scalar)
+    assert all(type(x) is float for x in taus + ss)
+    assert _same_bits(tau, taus) and _same_bits(s, ss)
+    assert scalar == [_scalar_limit(k) for k in ks]
+
+
+@pytest.mark.parametrize("call, got", [
+    (lambda: duration_scaling("A", np.array([0.5, 2.5])), "2.5"),
+    (lambda: duration_scaling("D", np.array([[0.5], [np.nan]])), "nan"),
+    (lambda: build_uzzz("D", np.float64(-0.25), J), "-0.25"),
+    (lambda: theoretical_limit(np.array([3.0, np.nan])), "nan"),
+], ids=["array-above", "array-nan", "numpy-scalar", "limit-nan"])
+def test_closed_forms_name_the_first_bad_kappa(call, got):
+    with pytest.raises(ValueError, match=rf"kappa must be in \[0, 2\], got {got}$"):
+        call()
+
+
+@pytest.mark.parametrize("v", VARIANTS)
+def test_programs_hold_python_numbers(v):
+    programs = [build_uzzz(v, 0.7, J), build_swap13(v, 1.0, J),
+                broadband_uzzz(v, 0.7, J, BroadbandScheme(n=16))]
+    events = [ev for p in programs for leaf in (p, *p.parts) for ev in leaf.events]
+    assert not any(isinstance(getattr(ev, f.name), np.generic) for ev in events for f in fields(ev))
+    assert not any("np." in serialize_program(p) for p in programs)
