@@ -37,8 +37,7 @@ from .sequences import (
     weak_pulse_amplitude,
 )
 from .broadband import (
-    BroadbandScheme,
-    broadband_geodesic,
+    broadband_uzzz,
     build_swap13_broadband,
     dante_discretize,
     default_dante_n,

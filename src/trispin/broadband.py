@@ -18,7 +18,7 @@ continuous pulse as the segment count grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from numbers import Integral
 
 from .pulseprog import TWO_PI, Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, join
@@ -36,30 +36,6 @@ def _check_segments(n: int) -> int:
     if n < 4 or n % 4 != 0:
         raise ValueError(f"DANTE segment count must be a positive multiple of 4, got {n}")
     return int(n)
-
-
-@dataclass(frozen=True)
-class BroadbandScheme:
-    """DANTE segment count (n = 4m) and pi placement.
-
-    n is the one place a DANTE segment count is set; None picks
-    default_dante_n for the program's kappa.
-
-    sparse_pi selects the experiment-friendly geodesic layout with a single
-    refocusing pi group per DANTE segment instead of one per half-delay;
-    it halves the pulse load of the train (important with finite-width
-    pulses) at the cost of slower offset convergence.
-    """
-
-    n: int | None = None
-    sparse_pi: bool = False
-
-    def __post_init__(self):
-        if self.n is not None:
-            _check_segments(self.n)
-
-
-DEFAULT_SCHEME = BroadbandScheme()
 
 
 def default_dante_n(kappa: float, j: float) -> int:
@@ -168,39 +144,36 @@ def dante_discretize(p: PulseProgram, n: int) -> PulseProgram:
     return _dante_train(p, n, f"{p.label}-dante", f"dante-n{n}")
 
 
-def broadband_geodesic(kappa: float, j: float,
-                       scheme: BroadbandScheme = DEFAULT_SCHEME) -> PulseProgram:
-    """Broadband version of the time-optimal sequence: DANTE plus refocusing.
+def broadband_uzzz(v: str, kappa: float, j: float, n: int | None = None,
+                   sparse_pi: bool = False) -> PulseProgram:
+    """Offset-refocused U_zzz block of variant v.
 
-    The weak pulse is discretized into scheme.n segments with pi pulses
-    inserted inside every sub-delay. The default placement splits each
-    half-delay around its own pi group (tight offset refocusing); with
-    scheme.sparse_pi a single pi group per segment sits immediately before
-    the sub-pulse:
+    A weak pulse (sequence D at kappa > 0) is discretized into n DANTE
+    segments, n the one place a segment count is set (None: default_dante_n;
+    checked for every variant), with pi pulses inserted inside every
+    sub-delay. The default placement splits each half-delay around its own pi
+    group (tight offset refocusing); with sparse_pi a single pi group per
+    segment sits immediately before the sub-pulse, which halves the pulse load
+    of the train (important with finite-width pulses) at the cost of slower
+    offset convergence:
 
         [ delay/2 - pi(1,2,3) - sub-pulse - delay/2 ] x n
     """
-    p = build_uzzz("D", kappa, j)
+    if n is not None:
+        n = _check_segments(n)
+    p = build_uzzz(v, kappa, j)
     if not any(isinstance(ev, WeakPulse) for ev in p.events):
-        return refocus_offsets(p)  # kappa = 0: nothing to discretize
-    n = scheme.n if scheme.n is not None else default_dante_n(kappa, j)
-    if not scheme.sparse_pi:
+        return refocus_offsets(p)  # A-C, and D at kappa = 0: nothing to discretize
+    n = default_dante_n(kappa, j) if n is None else n
+    if not sparse_pi:
         return refocus_offsets(dante_discretize(p, n))
     return _dante_train(p, n, f"{p.label}-bb", f"broadband-geodesic-n{n}", refocus=True)
 
 
-def broadband_uzzz(v: str, kappa: float, j: float,
-                   scheme: BroadbandScheme = DEFAULT_SCHEME) -> PulseProgram:
-    """Offset-refocused U_zzz block of variant v (D: broadband_geodesic)."""
-    if v == "D":
-        return broadband_geodesic(kappa, j, scheme)
-    return refocus_offsets(build_uzzz(v, kappa, j))
-
-
-def build_swap13_broadband(v: str, kappa: float, j: float,
-                           scheme: BroadbandScheme = DEFAULT_SCHEME) -> PulseProgram:
+def build_swap13_broadband(v: str, kappa: float, j: float, n: int | None = None,
+                           sparse_pi: bool = False) -> PulseProgram:
     """SWAP(1,3) composition with each trilinear block offset-refocused."""
-    return compose_swap13(broadband_uzzz(v, kappa, j, scheme), f"swap13-{v}-bb", kappa)
+    return compose_swap13(broadband_uzzz(v, kappa, j, n, sparse_pi), f"swap13-{v}-bb", float(kappa))
 
 
 def emulate_selective_pulse(target: int, phase: float, dnu13: float) -> PulseProgram:

@@ -161,7 +161,7 @@ def _verify_swap(j: float):
 def _verify_broadband(j: float):
     sys_ = SpinSystem(j, j, 0.0, 200.0, -300.0, 500.0)
     target = target_trilinear("z", "z", "z", 1.0)
-    robust = (broadband.broadband_uzzz(v, 1.0, j, broadband.BroadbandScheme(n=64)) for v in "ACD")
+    robust = (broadband.broadband_uzzz(v, 1.0, j, n=64) for v in "ACD")
     for name, u in zip(("A", "C", "geodesic n=64"), propagator_stacks(robust, sys_)):
         yield f"broadband {name} under offsets", 1.0 - metrics.fidelity(u[0], target), 1e-3
     trains = (broadband.dante_discretize(sequences.build_uzzz("D", 1.0, j), n) for n in (8, 64))
@@ -205,9 +205,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    scheme = broadband.BroadbandScheme(n=args.n)  # checks --n also without --broadband
+    if args.n is not None:
+        broadband._check_segments(args.n)  # also without --broadband
     if args.broadband:
-        p = broadband.broadband_uzzz(args.variant, args.kappa, args.J, scheme)
+        p = broadband.broadband_uzzz(args.variant, args.kappa, args.J, args.n)
     else:
         p = sequences.build_uzzz(args.variant, args.kappa, args.J)
     text = serialize_program(p)

@@ -215,8 +215,8 @@ def _lower_chunk(chunk, sys: SpinSystem, settings: SimulationSettings, h0, rf_sc
         products[id(p)] = _chain(terms)
     out = np.array([u if u.ndim == 3 else np.broadcast_to(np.diag(u), (len(rf_scales), 8, 8))
                     for u in (products[id(p)] for p in chunk)])
-    defect = unitarity_defect(out)  # the exit check, once per chunk
-    if defect > 1e-10:
+    defect = unitarity_defect(out)  # the exit check, once per chunk; NaN fails it
+    if not defect <= 1e-10:
         raise ValueError(f"propagator is not unitary: defect {defect:.3e}")
     return out
 
@@ -259,7 +259,7 @@ def evolve_many(rho0: np.ndarray, programs, sys: SpinSystem,
     """Yield U rho0 U† for each program, averaged over the rf ensemble."""
     rho0 = np.asarray(rho0, dtype=complex)
     defect = hermiticity_defect(rho0)
-    if defect > 1e-10:
+    if not defect <= 1e-10:  # NaN fails
         raise ValueError(f"initial state is not Hermitian: defect {defect:.3e}")
     scales, weights = ensemble_scales(settings)
     for u in propagator_stacks(programs, sys, settings, scales):

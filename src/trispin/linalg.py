@@ -33,7 +33,7 @@ def eigh_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
     defect = hermiticity_defect(h)
-    if defect > HERMITIAN_TOL:
+    if not defect <= HERMITIAN_TOL:  # NaN fails
         raise ValueError(
             f"generator is not Hermitian: max |H - H†| = {defect:.3e} "
             f"(tolerance {HERMITIAN_TOL:.0e})"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .broadband import BroadbandScheme, build_swap13_broadband, default_dante_n
+from .broadband import build_swap13_broadband, default_dante_n
 from .engine import IDEAL, SimulationSettings, evolve_many
 from .sequences import VARIANTS, build_swap13, duration_scaling, theoretical_limit
 from .spinsys import SpinSystem, spin_operator
@@ -56,12 +56,12 @@ def eta_curve(v: str, kappas, sys: SpinSystem,
     # kappa, so the curve is not rippled by per-point discretization jumps;
     # with finite pulses the sparse pi placement keeps the pulse load sane
     n = default_dante_n(max(kappas), j) if v == "D" and broadband else None
-    scheme = BroadbandScheme(n=n, sparse_pi=settings.mode == "realistic")
+    sparse_pi = settings.mode == "realistic"
     taus = []
 
     def programs():  # built lazily: the engine holds one lowering chunk of them at a time
         for kappa in kappas:
-            p = build_swap13_broadband(v, kappa, j, scheme) if broadband else build_swap13(v, kappa, j)
+            p = build_swap13_broadband(v, kappa, j, n, sparse_pi) if broadband else build_swap13(v, kappa, j)
             taus.append(p.nominal_duration)
             yield p
 

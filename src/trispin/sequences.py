@@ -123,8 +123,11 @@ _BUILDERS = {"A": _uzzz_a, "B": _uzzz_b, "C": _uzzz_c, "D": _uzzz_d}
 def build_uzzz(v: str, kappa: float, j: float) -> PulseProgram:
     """Ideal pulse program realizing U_zzz(kappa) with sequence variant v."""
     _check_variant(v)
+    if np.ndim(kappa):
+        raise ValueError(f"kappa must be one number, got an array of shape {np.shape(kappa)}")
     _check_kappa(kappa)
     _check_j(j)
+    kappa, j = float(kappa), float(j)  # so no np.float64(...) reaches program text
     events = _BUILDERS[v](kappa, j)
     return PulseProgram(tuple(events), label=f"uzzz-{v}", kappa=kappa)
 
@@ -150,7 +153,10 @@ def theoretical_limit(kappa: float | np.ndarray) -> tuple:
     kappa is first reduced into [0, 1] using tau*(2n +/- kappa) = tau*(kappa);
     the bound there is sequence D's duration and scaling.
     """
-    r = np.fmod(np.abs(kappa), 2.0)  # NaN for a NaN or infinite kappa, which D rejects
+    for k in np.asarray(kappa).ravel().tolist():  # fmod would make an infinity NaN, with a warning
+        if math.isinf(k):
+            raise ValueError(f"kappa must be finite, got {k}")
+    r = np.fmod(np.abs(kappa), 2.0)  # NaN for a NaN kappa, which D rejects
     return duration_scaling("D", np.minimum(r, 2.0 - r))
 
 
@@ -180,7 +186,7 @@ def compose_swap13(core: PulseProgram, label: str, kappa: float) -> PulseProgram
 
 def build_swap13(v: str, kappa: float, j: float) -> PulseProgram:
     """Indirect SWAP(1,3) program around the variant's ideal U_zzz block."""
-    return compose_swap13(build_uzzz(v, kappa, j), f"swap13-{v}", kappa)
+    return compose_swap13(build_uzzz(v, kappa, j), f"swap13-{v}", float(kappa))
 
 
 def swap_duration_bookkeeping(j: float) -> dict:

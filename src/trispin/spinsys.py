@@ -12,6 +12,7 @@ Conventions (fixed once, everything else is locked to them by tests):
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -50,10 +51,11 @@ class SpinSystem:
     channels: tuple[str, str, str] = (PROTON, HETERO, PROTON)
 
     def __post_init__(self):
-        for name in ("j12", "j23", "j13", "nu1", "nu2", "nu3"):
+        for name in ("j12", "j23", "j13", "nu1", "nu2", "nu3"):  # Hz, used as 2 pi value in rad/s
             v = getattr(self, name)
-            if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+            if not (math.isfinite(v) and math.isfinite(2 * math.pi * float(v))):
+                why = f" (2 pi {name} overflows)" if math.isfinite(v) else ""
+                raise ValueError(f"{name} must be finite, got {v!r}{why}")
         if len(self.channels) != 3:
             raise ValueError("exactly three channel assignments required")
 

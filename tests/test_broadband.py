@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trispin.broadband import (
-    BroadbandScheme,
-    broadband_geodesic,
+    broadband_uzzz,
     build_swap13_broadband,
     dante_discretize,
     default_dante_n,
@@ -114,25 +113,25 @@ def test_dante_validation():
     with pytest.raises(ValueError, match=r"DANTE segment count n must be an integer, got 8\.0"):
         dante_discretize(build_uzzz("D", 1.0, J), 8.0)
     with pytest.raises(ValueError, match=r"DANTE segment count n must be an integer, got 16\.0"):
-        BroadbandScheme(n=16.0)
+        broadband_uzzz("D", 1.0, J, 16.0)
 
 
 @pytest.mark.parametrize("sparse_pi", [False, True])
 def test_a_numpy_segment_count_gives_the_same_program_text(sparse_pi):
-    p = broadband_geodesic(1.0, J, BroadbandScheme(n=np.int64(16), sparse_pi=sparse_pi))
-    q = broadband_geodesic(1.0, J, BroadbandScheme(n=16, sparse_pi=sparse_pi))
+    p = broadband_uzzz("D", 1.0, J, np.int64(16), sparse_pi)
+    q = broadband_uzzz("D", 1.0, J, 16, sparse_pi)
     assert serialize_program(p) == serialize_program(q)
 
 
 def test_broadband_geodesic_offsets():
-    p = broadband_geodesic(1.0, J, BroadbandScheme(n=64))
+    p = broadband_uzzz("D", 1.0, J, 64)
     assert fidelity(propagator_of(p, OFFSET_SYS), TARGET) >= 0.999
     wide = SpinSystem(J, J, 0.0, 2000.0, -2000.0, 2000.0)
     assert fidelity(propagator_of(p, wide), TARGET) >= 0.999
 
 
 def test_broadband_geodesic_sparse_layout():
-    p = broadband_geodesic(1.0, J, BroadbandScheme(n=64, sparse_pi=True))
+    p = broadband_uzzz("D", 1.0, J, 64, sparse_pi=True)
     assert fidelity(propagator_of(p, CHAIN), TARGET) >= 0.999
     pis = [e for e in p.events if isinstance(e, HardPulse)
            and e.targets == frozenset({1, 2, 3})]
@@ -142,9 +141,8 @@ def test_broadband_geodesic_sparse_layout():
 @pytest.mark.parametrize("build, label, kappa", [
     *((lambda v=v: build_swap13(v, 0.7, J), f"swap13-{v}", 0.7) for v in "ABCD"),
     *((lambda v=v: build_swap13_broadband(v, 0.7, J), f"swap13-{v}-bb", 0.7) for v in "ABCD"),
-    (lambda: build_swap13_broadband("D", 0.7, J, BroadbandScheme(n=16, sparse_pi=True)),
-     "swap13-D-bb", 0.7),
-    (lambda: build_swap13_broadband("D", 0.0, J, BroadbandScheme(sparse_pi=True)),
+    (lambda: build_swap13_broadband("D", 0.7, J, 16, sparse_pi=True), "swap13-D-bb", 0.7),
+    (lambda: build_swap13_broadband("D", 0.0, J, sparse_pi=True),
      "swap13-D-bb", 0.0),
     # a core of two equal leaves that are distinct objects keeps them distinct
     (lambda: compose_swap13(join((PulseProgram((Delay(1e-3),)), PulseProgram((Delay(1e-3),)))),
@@ -161,17 +159,17 @@ def test_swap_repeats_one_core(build, label, kappa):
 
 
 @pytest.mark.parametrize("scheme, periods", [
-    (BroadbandScheme(n=64, sparse_pi=True), 16),  # one 4-phase cycle of segments
-    (BroadbandScheme(n=16, sparse_pi=True), 4),
-    (BroadbandScheme(n=4, sparse_pi=True), 1),  # the smallest train is one period
+    (dict(n=64, sparse_pi=True), 16),  # one 4-phase cycle of segments
+    (dict(n=16, sparse_pi=True), 4),
+    (dict(n=4, sparse_pi=True), 1),  # the smallest train is one period
 ])
 def test_sparse_dante_train_repeats_one_period(scheme, periods):
-    p = broadband_geodesic(1.0, J, scheme)
+    p = broadband_uzzz("D", 1.0, J, **scheme)
     assert (p.label, p.kappa, p.meta) == (
-        "uzzz-D-bb", 1.0, (("transform", f"broadband-geodesic-n{scheme.n}"),))
+        "uzzz-D-bb", 1.0, (("transform", f"broadband-geodesic-n{scheme['n']}"),))
     first, *train, last = p.parts
     assert len(train) == periods and all(period is train[0] for period in train)
-    assert len(train[0].events) == 4 * scheme.n // periods  # delay, pi, sub-pulse, delay
+    assert len(train[0].events) == 4 * scheme["n"] // periods  # delay, pi, sub-pulse, delay
     assert first.events + train[0].events * periods + last.events == p.events
 
 
@@ -261,7 +259,7 @@ def test_refocusing_a_deep_chain_of_pairwise_joins_equals_its_flat_copy():
 
 
 def test_dense_broadband_core_keeps_the_train_structure():
-    p = broadband_geodesic(1.0, J, BroadbandScheme(n=64))
+    p = broadband_uzzz("D", 1.0, J, 64)
     assert len(p.parts) == 66 and len({id(leaf) for leaf in p.parts}) == 4
     head, even, odd, *_, tail = p.parts  # each segment inserts 2 pis: 2 cycle positions
     assert p.parts[1:-1] == (even, odd) * 32
@@ -273,13 +271,13 @@ def test_dense_broadband_core_keeps_the_train_structure():
 @pytest.mark.parametrize("v", ["A", "C"])
 def test_broadband_swap_of_a_flat_core_has_six_parts(v):
     # the core is one part: a join of A's refocused leaf, or of C's and its compensating pi
-    p = build_swap13_broadband(v, 0.7, J, BroadbandScheme(sparse_pi=True))
+    p = build_swap13_broadband(v, 0.7, J, sparse_pi=True)
     assert len(p.parts) == 6 and len({id(leaf) for leaf in p.parts}) == 4
     assert p.parts[1] is p.parts[3] is p.parts[5]
 
 
 def test_broadband_geodesic_kappa_zero():
-    p = broadband_geodesic(0.0, J)
+    p = broadband_uzzz("D", 0.0, J)
     assert fidelity(propagator_of(p, OFFSET_SYS), target_trilinear("z", "z", "z", 0.0)) >= 1.0 - 1e-9
 
 
@@ -297,8 +295,9 @@ def test_swap13_broadband_offsets():
 
 
 def test_scheme_validation():
-    with pytest.raises(ValueError):
-        BroadbandScheme(n=6)
+    for v in "ABCD":  # n is checked also for a variant without a weak pulse
+        with pytest.raises(ValueError, match="multiple of 4, got 6"):
+            broadband_uzzz(v, 1.0, J, 6)
 
 
 def test_selective_pulse_delay():

@@ -13,6 +13,7 @@ import pytest
 from trispin import cli
 from trispin.engine import MAX_GRID_POINTS
 from trispin.pulseprog import HardPulse, parse_program, serialize_program
+from trispin.sequences import build_uzzz
 
 
 def run(capsys, *argv):
@@ -187,6 +188,13 @@ def test_compile_broadband_dante(tmp_path, capsys):
     assert len(subs) == 16
 
 
+def test_compile_checks_n_also_without_broadband(tmp_path, capsys):
+    out_path = tmp_path / "b.pp"
+    assert cli.main(["compile", "--variant", "B", "--kappa", "1", "--n", "16",
+                     "--out", str(out_path)]) == 0
+    assert out_path.read_text() == serialize_program(build_uzzz("B", 1.0, 88.0))  # n is unused
+
+
 def test_compile_kappa_out_of_range(capsys, tmp_path):
     assert cli.main(["compile", "--variant", "D", "--kappa", "3",
                      "--out", str(tmp_path / "x.pp")]) == 2
@@ -259,6 +267,8 @@ def test_oversized_kappa_grid_rejected_before_it_is_built(capsys, command, kappa
      "rf_grid_points must be odd, positive and at most 10000, got 10000001"),
     (["eta-sweep", "--variant", "B", "--kappa", "1:1", "--config", "{missing}"], None,
      "cannot read config: "),
+    (["eta-sweep", "--variant", "B", "--kappa", "1:1", "--config", "{cfg}"], "nu3 = 1e308\n",
+     "nu3 must be finite, got 1e+308 (2 pi nu3 overflows)"),
     (["eta-sweep", "--variant", "Z", "--kappa", "1:1"], None, "unknown variant 'Z'"),
     (["verify", "nosuch"], None, "unknown suite 'nosuch'"),
     (["verify", "limits", "--J", "-3"], None, "coupling J must be positive and finite, got -3.0"),
@@ -268,7 +278,7 @@ def test_oversized_kappa_grid_rejected_before_it_is_built(capsys, command, kappa
      "DANTE segment count must be a positive multiple of 4, got 7"),
 ], ids=["kappa-value", "kappa-shape", "kappa-size", "kappa-domain-tail", "kappa-domain-all",
         "curves-kappa-domain", "kappa-empty", "curves-kappa-empty", "config-no-equals", "config-key",
-        "config-value", "config-rf-grid", "config-unreadable", "variant", "suite", "j", "out",
+        "config-value", "config-rf-grid", "config-unreadable", "config-nu3-overflow", "variant", "suite", "j", "out",
         "compile-n"])
 def test_every_command_error_returns_2_with_one_stderr_line(tmp_path, capsys, argv, config,
                                                             message):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trispin import engine
-from trispin.broadband import BroadbandScheme, build_swap13_broadband, default_dante_n
+from trispin.broadband import build_swap13_broadband, default_dante_n
 from trispin.engine import (
     IDEAL,
     SimulationSettings,
@@ -89,6 +89,18 @@ def test_evolve_rejects_non_hermitian_state():
     bad[0, 1] = 1.0
     with pytest.raises(ValueError):
         next(evolve_many(bad, (PulseProgram(),), SYS))
+
+
+def test_evolve_rejects_a_nan_state():
+    with pytest.raises(ValueError, match="initial state is not Hermitian: defect nan"):
+        next(evolve_many(np.full((8, 8), np.nan), (PulseProgram(),), SYS))
+
+
+def test_a_nan_propagator_fails_the_exit_check():
+    # the delay's phases overflow to inf, and their exponentials are NaN
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="propagator is not unitary: defect nan"):
+        propagator_of(PulseProgram((Delay(1e308),)), SYS)
 
 
 def test_ensemble_grid_shape_and_symmetry():
@@ -400,8 +412,8 @@ def test_one_real_eigh_per_pulse_generator(monkeypatch):
     sys, kappas = acetamide(), [0.2, 0.25, 0.3, 0.35]  # one chunk of the sparse D sweep
     eta_curve("D", kappas, sys, REALISTIC)
     j = 0.5 * (sys.j12 + sys.j23)
-    scheme = BroadbandScheme(n=default_dante_n(max(kappas), j), sparse_pi=True)
-    pulses = {ev for kappa in kappas for ev in build_swap13_broadband("D", kappa, j, scheme).events
+    n = default_dante_n(max(kappas), j)
+    pulses = {ev for kappa in kappas for ev in build_swap13_broadband("D", kappa, j, n, True).events
               if isinstance(ev, HardPulse) and ev.flip != 0.0}
     # a finite hard pulse's generator depends on its targets only: spin 2 (the
     # DANTE sub-pulses, V_D and W), spins 1 and 3 (the SWAP frame) and all three (the pis)
@@ -419,7 +431,7 @@ def test_a_d_swap_forms_its_core_product_once(monkeypatch):
         return real(terms)
 
     monkeypatch.setattr(engine, "_chain", counting)
-    p = build_swap13_broadband("D", 0.8, J, BroadbandScheme(n=16, sparse_pi=True))
+    p = build_swap13_broadband("D", 0.8, J, 16, sparse_pi=True)
     head, core, mid, _, tail, _ = p.parts
     assert len(core.parts) == 6 and all(period is core.parts[1] for period in core.parts[1:5])
     leaves = {id(leaf): leaf for leaf in (head, mid, tail, *core.parts)}.values()
@@ -503,11 +515,11 @@ def test_realistic_d_sweep_matches_per_point_evolve_loop():
     # more points than one chunk
     sys, kappas = acetamide(), [0.05, 0.3, 0.7, 1.0, 1.2, 1.5, 1.75, 1.9, 1.95, 2.0]
     j = 0.5 * (sys.j12 + sys.j23)
-    scheme = BroadbandScheme(n=default_dante_n(max(kappas), j), sparse_pi=True)
+    n = default_dante_n(max(kappas), j)
     curve = eta_curve("D", kappas, sys, REALISTIC)
     assert len(curve) == len(kappas)
     for kappa, (tau, eta) in zip(kappas, curve):
-        p = build_swap13_broadband("D", kappa, j, scheme)
+        p = build_swap13_broadband("D", kappa, j, n, sparse_pi=True)
         assert tau == p.nominal_duration
         rho = evolve_loop(spin_operator(1, "x"), p, sys, REALISTIC)
         assert abs(eta - transfer_efficiency(rho)) < 1e-12
@@ -594,7 +606,7 @@ def test_a_deep_chain_of_pairwise_joins_propagates():
 
 @pytest.mark.parametrize("settings", [IDEAL, REALISTIC])
 def test_replace_flattens_and_keeps_the_propagator(settings):
-    p = build_swap13_broadband("D", 0.8, J, BroadbandScheme(n=16, sparse_pi=True))
+    p = build_swap13_broadband("D", 0.8, J, 16, sparse_pi=True)
     flat = replace(p, label="renamed")
     assert p.parts and flat.parts == () and flat.events == p.events
     scales, _ = ensemble_scales(settings)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trispin.linalg import expm_generator, hermiticity_defect, unitarity_defect
+from trispin.linalg import eigh_hermitian, expm_generator, hermiticity_defect, unitarity_defect
 from trispin.spinsys import spin_operator
 
 from oracles import expm_taylor, kron_loops
@@ -49,6 +49,11 @@ def test_expm_rejects_non_hermitian():
     bad[0, 1] = 1.0
     with pytest.raises(ValueError):
         expm_generator(bad, 1.0)
+
+
+def test_a_nan_generator_is_not_hermitian():
+    with pytest.raises(ValueError, match=r"generator is not Hermitian: max \|H - H†\| = nan"):
+        eigh_hermitian(np.full((8, 8), np.nan))
 
 
 def test_defect_measures():

@@ -2,9 +2,9 @@
 import trispin
 
 PUBLIC = [
-    "BroadbandScheme", "Delay", "HardPulse", "IDEAL", "ProgramSyntaxError", "PulseProgram",
-    "SimulationSettings", "SpinSystem", "VARIANTS", "WeakPulse", "ZRotation", "acetamide",
-    "broadband", "broadband_geodesic", "build_swap13", "build_swap13_broadband", "build_uzzz",
+    "Delay", "HardPulse", "IDEAL", "ProgramSyntaxError", "PulseProgram", "SimulationSettings",
+    "SpinSystem", "VARIANTS", "WeakPulse", "ZRotation", "acetamide", "broadband",
+    "broadband_uzzz", "build_swap13", "build_swap13_broadband", "build_uzzz",
     "dante_discretize", "default_dante_n", "duration_scaling", "eliminate_z_rotations",
     "emulate_selective_pulse", "engine", "ensemble_scales", "eta_curve", "evolve_many",
     "expm_generator", "fidelity", "fig2_tables", "free_hamiltonian", "hermiticity_defect",

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from oracles import serialize_loop
 from trispin import pulseprog
-from trispin.broadband import BroadbandScheme, broadband_uzzz, build_swap13_broadband, refocus_offsets
+from trispin.broadband import broadband_uzzz, build_swap13_broadband, refocus_offsets
 from trispin.engine import SimulationSettings, total_duration
 from trispin.pulseprog import (
     Delay,
@@ -232,9 +232,8 @@ def _builder_outputs():
             yield build_swap13(v, kappa, 88.0)
             for n in ((4, 64, 256) if v == "D" else (None,)):
                 for sparse in (False, True):
-                    scheme = BroadbandScheme(n=n, sparse_pi=sparse)
-                    yield broadband_uzzz(v, kappa, 88.0, scheme)
-                    yield build_swap13_broadband(v, kappa, 88.0, scheme)
+                    yield broadband_uzzz(v, kappa, 88.0, n, sparse)
+                    yield build_swap13_broadband(v, kappa, 88.0, n, sparse)
     yield refocus_offsets(build_swap13("C", 0.0, 88.0))
 
 
@@ -251,7 +250,7 @@ def test_text_and_parsed_programs_of_every_builder_are_pinned():
 def test_repr_and_text_of_every_builder_output_are_pinned():
     # captured before joins nested; the refocused SWAPs map nested parts
     extra = [refocus_offsets(build_swap13(v, 0.7, 88.0)) for v in "ABC"]
-    extra += [refocus_offsets(build_swap13_broadband("D", 0.7, 88.0, BroadbandScheme(n=16, sparse_pi=s)))
+    extra += [refocus_offsets(build_swap13_broadband("D", 0.7, 88.0, 16, s))
               for s in (False, True)]
     digest = hashlib.sha256()
     for p in [*_builder_outputs(), *extra]:
@@ -288,7 +287,7 @@ def test_each_distinct_event_object_is_formatted_once(monkeypatch):
         return real(ev)
 
     monkeypatch.setattr(pulseprog, "_event_line", counting)
-    p = broadband_uzzz("D", 1.3, 88.0, BroadbandScheme(n=256))
+    p = broadband_uzzz("D", 1.3, 88.0, 256)
     text = serialize_program(p)
     distinct = {id(ev) for ev in p.events}
     assert len(calls) == len(distinct) < 20 < len(p.events)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields
 
 import hypothesis.extra.numpy as hnp
@@ -6,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from trispin.broadband import BroadbandScheme, broadband_uzzz, build_swap13_broadband
+from trispin.broadband import broadband_uzzz, build_swap13_broadband
 from trispin.engine import propagator_of
 from trispin.metrics import fidelity
-from trispin.pulseprog import HardPulse, WeakPulse, serialize_program
+from trispin.pulseprog import HardPulse, WeakPulse, parse_program, serialize_program
 from trispin.sequences import (
     VARIANTS,
     build_swap13,
@@ -51,7 +52,7 @@ def test_fixed_pulses_are_shared_objects(v, fixed):
 @pytest.mark.parametrize("v", VARIANTS)
 def test_swap_frames_are_shared_leaves(v):
     swaps = [build_swap13(v, 0.4, J), build_swap13(v, 1.3, J), build_swap13(v, 1.0, 60.0),
-             build_swap13_broadband(v, 0.7, J, BroadbandScheme(n=16, sparse_pi=True))]
+             build_swap13_broadband(v, 0.7, J, 16, sparse_pi=True)]
     for i in (0, 2, 4):  # head, mid, tail
         assert all(s.parts[i] is swaps[0].parts[i] and not s.parts[i].parts for s in swaps)
 
@@ -229,7 +230,31 @@ def test_closed_forms_name_the_first_bad_kappa(call, got):
 @pytest.mark.parametrize("v", VARIANTS)
 def test_programs_hold_python_numbers(v):
     programs = [build_uzzz(v, 0.7, J), build_swap13(v, 1.0, J),
-                broadband_uzzz(v, 0.7, J, BroadbandScheme(n=16))]
+                broadband_uzzz(v, 0.7, J, 16)]
     events = [ev for p in programs for leaf in (p, *p.parts) for ev in leaf.events]
     assert not any(isinstance(getattr(ev, f.name), np.generic) for ev in events for f in fields(ev))
     assert not any("np." in serialize_program(p) for p in programs)
+
+
+@pytest.mark.parametrize("v", VARIANTS)
+def test_numpy_scalars_give_the_float_program_text(v):
+    def texts(kappa, j):
+        return [serialize_program(p) for p in (build_uzzz(v, kappa, j), build_swap13(v, kappa, j),
+                                               build_swap13_broadband(v, kappa, j, np.int64(16)))]
+    got = texts(np.float64(0.7), np.float64(J))
+    assert got == texts(0.7, J)
+    assert all(serialize_program(parse_program(text)) == text for text in got)
+
+
+def test_an_array_kappa_is_rejected_by_name():
+    with pytest.raises(ValueError, match=r"kappa must be one number, got an array of shape \(2,\)"):
+        build_uzzz("A", np.array([0.5, 0.6]), J)
+
+
+@pytest.mark.parametrize("kappa, got", [(math.inf, "inf"), (np.array([1.0, -np.inf]), "-inf")],
+                         ids=["inf", "array-minus-inf"])
+def test_theoretical_limit_rejects_an_infinite_kappa_without_a_warning(kappa, got):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the test before the ValueError
+        with pytest.raises(ValueError, match=rf"kappa must be finite, got {got}$"):
+            theoretical_limit(kappa)

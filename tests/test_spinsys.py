@@ -114,3 +114,9 @@ def test_system_helpers():
         replace(sys, nu2=float("nan"))
     with pytest.raises(ValueError, match="nu1 must be finite, got inf"):
         sys.shifted("1H", float("inf"))
+
+
+@pytest.mark.parametrize("name", ["j12", "nu3"])
+def test_a_value_whose_angular_frequency_overflows_is_rejected_by_name(name):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got 1e\+308 \(2 pi {name} overflows\)$"):
+        replace(ideal_chain(88.0), **{name: 1e308})
