@@ -22,7 +22,7 @@ from dataclasses import replace
 from numbers import Integral
 
 from .pulseprog import TWO_PI, Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, join
-from .sequences import _check_j, _check_kappa, build_uzzz, compose_swap13, geodesic_tau
+from .sequences import _check_kappa, build_uzzz, compose_swap13, geodesic_tau
 
 _X = 0.0
 # the refocusing pi(1,2,3) pulses in turn (x, -x, -x, x); their count divides every DANTE n
@@ -38,19 +38,17 @@ def _check_segments(n: int) -> int:
     return int(n)
 
 
-def default_dante_n(kappa: float, j: float) -> int:
-    """Smallest multiple of 4 with sub-delay <= 1/(20 J)."""
+def default_dante_n(kappa: float) -> int:
+    """Smallest multiple of 4 with sub-delay <= 1/(20 J): n >= 20 tau J = 20 geodesic_tau(kappa)."""
     _check_kappa(kappa)
-    _check_j(j)
-    tau = geodesic_tau(kappa) / j
-    return max(4, 4 * math.ceil(20.0 * j * tau / 4.0))
+    return max(4, 4 * math.ceil(5.0 * geodesic_tau(kappa)))
 
 
-def _refocus_leaf(leaf: PulseProgram, start: int) -> tuple[PulseProgram, int]:
-    """leaf with a refocusing pi in the middle of each delay, when start pis
-    come before it, and the number of pis it inserts."""
+def _refocus_leaf(part: PulseProgram, start: int) -> tuple[PulseProgram, int]:
+    """part's events, with a refocusing pi in the middle of each delay when start
+    pis come before it, as one leaf, and the number of pis it inserts."""
     events, count = [], start
-    for ev in leaf.events:
+    for ev in part.events:
         if isinstance(ev, WeakPulse):
             raise ValueError("cannot offset-refocus a program with weak pulses; "
                              "DANTE-discretize it first")
@@ -71,33 +69,18 @@ def refocus_offsets(p: PulseProgram) -> PulseProgram:
     """Insert offset-refocusing pi pulses into every delay of an ideal program.
 
     The pis inserted so far, counted modulo the (even) cycle length, fix both
-    the next cycle phase and the frame parity. So each program in the tree of
-    p's parts is mapped once per count it starts at, and a repeated block stays
-    a repeated part.
+    the next cycle phase and the frame parity. So each of p's parts is mapped
+    from its events once per count it starts at, and a repeated part stays a
+    repeated part; the result has one level of parts.
     """
-    mapped = {}  # (id of a program in p's parts tree, pis before it mod 4) -> (its map, pis it inserts)
-    # a depth-first walk without recursion, as a chain of pairwise joins can be
-    # deeper than its limit; a frame is [key, parts, next index, pis so far, mapped parts]
-    frames = [[None, p.parts or (p,), 0, 0, []]]
-    while True:
-        frame = frames[-1]
-        key, parts, i, count, out = frame
-        if i == len(parts):
-            if key is None:
-                break
-            frames.pop()
-            mapped[key] = join(out), count - key[1]
-            continue
-        part_key = (id(parts[i]), count % len(_CYCLE))
-        if part_key in mapped:
-            part, inserted = mapped[part_key]
-            out.append(part)
-            frame[2] += 1
-            frame[3] += inserted
-        elif parts[i].parts:
-            frames.append([part_key, parts[i].parts, 0, part_key[1], []])
-        else:
-            mapped[part_key] = _refocus_leaf(parts[i], part_key[1])
+    mapped, out, count = {}, [], 0  # (id of a part, pis before it mod 4) -> (its map, pis it inserts)
+    for part in p.parts or (p,):
+        key = (id(part), count % len(_CYCLE))
+        if key not in mapped:
+            mapped[key] = _refocus_leaf(part, key[1])
+        leaf, inserted = mapped[key]
+        out.append(leaf)
+        count += inserted
     if count % 2:  # the compensating pi is one more part
         out.append(PulseProgram((_CYCLE[count % len(_CYCLE)],)))
     meta = p.meta + (("transform", "refocus-offsets"),)
@@ -164,7 +147,7 @@ def broadband_uzzz(v: str, kappa: float, j: float, n: int | None = None,
     p = build_uzzz(v, kappa, j)
     if not any(isinstance(ev, WeakPulse) for ev in p.events):
         return refocus_offsets(p)  # A-C, and D at kappa = 0: nothing to discretize
-    n = default_dante_n(kappa, j) if n is None else n
+    n = default_dante_n(kappa) if n is None else n
     if not sparse_pi:
         return refocus_offsets(dante_discretize(p, n))
     return _dante_train(p, n, f"{p.label}-bb", f"broadband-geodesic-n{n}", refocus=True)

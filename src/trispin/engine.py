@@ -179,6 +179,7 @@ def _chain(terms) -> np.ndarray:
     return u
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow leaves a NaN, which a check below reports
 def _lower_chunk(chunk, sys: SpinSystem, settings: SimulationSettings, h0, rf_scales):
     """(K, B, 8, 8) propagators of K programs. Distinct events are lowered once:
     one exp for all delay/z-rotation phases, one real eigh for all distinct pulse
@@ -217,7 +218,9 @@ def _lower_chunk(chunk, sys: SpinSystem, settings: SimulationSettings, h0, rf_sc
                     for u in (products[id(p)] for p in chunk)])
     defect = unitarity_defect(out)  # the exit check, once per chunk; NaN fails it
     if not defect <= 1e-10:
-        raise ValueError(f"propagator is not unitary: defect {defect:.3e}")
+        bad = [ev for ev, op in zip(index, ops) if not np.isfinite(op).all()]  # from an overflowing phase
+        raise ValueError(f"the phase of {bad[0]!r} overflows: its duration is too long for its rf amplitude "
+                         "and the spin system" if bad else f"propagator is not unitary: defect {defect:.3e}")
     return out
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .broadband import build_swap13_broadband, default_dante_n
 from .engine import IDEAL, SimulationSettings, evolve_many
-from .sequences import VARIANTS, build_swap13, duration_scaling, theoretical_limit
+from .sequences import VARIANTS, _check_j, build_swap13, duration_scaling, theoretical_limit
 from .spinsys import SpinSystem, spin_operator
 
 I1X_NORM = 2.0  # Tr(I1x I1x) in the 8-dimensional space
@@ -39,15 +39,18 @@ def eta_curve(v: str, kappas, sys: SpinSystem,
     """(tau, eta13) pairs for the indirect-SWAP program over a kappa grid.
 
     Realistic mode (and any off-resonance system) uses the broadband program
-    variants. tau is the nominal sequence duration (delays plus weak pulses)
-    so ideal and realistic curves share the same duration axis, as in the
-    transfer-efficiency figures. The programs are built for the mean
-    coupling J = (J12 + J23) / 2.
+    variants. tau is the SWAP's nominal duration (delays plus weak pulses) from
+    the closed forms, 3 tau_v(kappa) / J, which the ideal and broadband programs
+    share, so ideal and realistic curves share the same duration axis, as in the
+    transfer-efficiency figures. The programs are built for the mean coupling
+    J = (J12 + J23) / 2.
     """
     kappas = list(kappas)
     if not kappas:
         raise ValueError("kappa grid must be nonempty")
     j = 0.5 * (sys.j12 + sys.j23)
+    tau_j = duration_scaling(v, np.array(kappas))[0]  # checks v, then each kappa in turn
+    _check_j(j)
     # off-resonance systems need the offset-refocused programs even with
     # ideal pulses, otherwise the detected phase of spin 3 precesses with
     # the sequence duration and scrambles the curve
@@ -55,19 +58,11 @@ def eta_curve(v: str, kappas, sys: SpinSystem,
     # one DANTE segment count for the whole sweep, sized for the largest
     # kappa, so the curve is not rippled by per-point discretization jumps;
     # with finite pulses the sparse pi placement keeps the pulse load sane
-    n = default_dante_n(max(kappas), j) if v == "D" and broadband else None
-    sparse_pi = settings.mode == "realistic"
-    taus = []
-
-    def programs():  # built lazily: the engine holds one lowering chunk of them at a time
-        for kappa in kappas:
-            p = build_swap13_broadband(v, kappa, j, n, sparse_pi) if broadband else build_swap13(v, kappa, j)
-            taus.append(p.nominal_duration)
-            yield p
-
-    rhos = evolve_many(spin_operator(1, "x"), programs(), sys, settings)
-    etas = [transfer_efficiency(rho) for rho in rhos]  # fills taus as the programs are drawn
-    return list(zip(taus, etas))
+    n, sparse_pi = default_dante_n(max(kappas)), settings.mode == "realistic"
+    programs = (build_swap13_broadband(v, kappa, j, n, sparse_pi) if broadband else build_swap13(v, kappa, j)
+                for kappa in kappas)  # lazily: the engine holds one lowering chunk of them at a time
+    rhos = evolve_many(spin_operator(1, "x"), programs, sys, settings)
+    return [(tau, transfer_efficiency(rho)) for tau, rho in zip((3 * tau_j / j).tolist(), rhos)]
 
 
 def _check_ratio_kappa(kappa):

@@ -56,6 +56,10 @@ class SpinSystem:
             if not (math.isfinite(v) and math.isfinite(2 * math.pi * float(v))):
                 why = f" (2 pi {name} overflows)" if math.isfinite(v) else ""
                 raise ValueError(f"{name} must be finite, got {v!r}{why}")
+        h0_max = math.pi * (sum(map(abs, (self.j12, self.j23, self.j13))) / 2 + sum(map(abs, self.offsets)))
+        if not math.isfinite(h0_max):  # the largest |entry| of H0 (rad/s), which passing fields can overflow
+            raise ValueError("j12, j23, j13, nu1, nu2 and nu3 overflow the free Hamiltonian together: "
+                             "2 pi (|j12| + |j23| + |j13|) / 4 + pi (|nu1| + |nu2| + |nu3|) is not finite")
         if len(self.channels) != 3:
             raise ValueError("exactly three channel assignments required")
 

@@ -61,8 +61,8 @@ def test_odd_delay_count_gets_trailing_pi():
 def test_odd_refocus_count_ends_with_a_one_event_pi_part(p):
     q = refocus_offsets(p)
     *body, last = q.parts
-    # the parts before it are p's, refocused, each with as many parts as before
-    assert [len(part.parts) for part in body] == [len(part.parts) for part in p.parts or (p,)]
+    # the parts before it are leaves, one per part of p, each that part refocused
+    assert len(body) == len(p.parts or (p,)) and all(part.parts == () for part in body)
     assert last.parts == () and len(last.events) == 1
     pi = last.events[0]
     assert (pi.targets, pi.flip) == (frozenset({1, 2, 3}), math.pi)
@@ -254,8 +254,19 @@ def test_refocusing_a_deep_chain_of_pairwise_joins_equals_its_flat_copy():
     q = refocus_offsets(p)
     assert q == refocus_offsets(PulseProgram(p.events))
     nested, last, pi = q.parts  # 1001 delays: the compensating pi is one more part
-    assert len(nested.parts) == 2 and q.events == nested.events + last.events + pi.events  # still nested
+    # one leaf per part of p: the nested part is refocused from its events
+    assert nested.parts == last.parts == () and q.events == nested.events + last.events + pi.events
     assert pi.parts == () and pi.events == (HardPulse(frozenset({1, 2, 3}), math.pi, math.pi),)
+
+
+def test_a_nested_part_repeated_at_the_same_pi_count_maps_to_one_leaf():
+    inner = join((PulseProgram((Delay(1e-3), HardPulse(frozenset({2}), 0.5, 0.3), Delay(1e-3))),
+                  join((PulseProgram((Delay(2e-3),)),) * 2)))  # 4 delays: a whole refocusing cycle
+    p = join((inner,) * 3)
+    q = refocus_offsets(p)
+    assert len(q.parts) == 3 and all(part.parts == () for part in q.parts)
+    assert q.parts[0] is q.parts[1] is q.parts[2]  # 0, 4 and 8 pis before it: one count mod 4
+    assert q == refocus_offsets(PulseProgram(p.events))
 
 
 def test_dense_broadband_core_keeps_the_train_structure():
@@ -282,11 +293,21 @@ def test_broadband_geodesic_kappa_zero():
 
 
 def test_default_dante_n():
-    assert default_dante_n(1.0, J) % 4 == 0
-    assert default_dante_n(0.0, J) == 4
+    assert default_dante_n(1.0) % 4 == 0
+    assert default_dante_n(0.0) == 4
     # sub-delay no longer than 1/(20 J)
     tau = math.sqrt(3) / (2 * J)
-    assert tau / default_dante_n(1.0, J) <= 1.0 / (20.0 * J)
+    assert tau / default_dante_n(1.0) <= 1.0 / (20.0 * J)
+
+
+@pytest.mark.parametrize("kappa, n", [(2.0, 20), (0.8, 16)])
+def test_default_dante_n_is_the_same_for_every_j(kappa, n):
+    # n >= 20 tau J = 20 geodesic_tau(kappa): J cancels; at kappa = 0.8 the
+    # sub-delay of n = 16 is 1/(20 J) exactly
+    assert default_dante_n(kappa) == n
+    for j in (1.0, 88.0, 88.05, 105.0, 1234.5, 5000.0):
+        p = broadband_uzzz("D", kappa, j)
+        assert ("transform", f"dante-n{n}") in p.meta
 
 
 def test_swap13_broadband_offsets():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -21,7 +22,7 @@ from trispin.engine import (
 from trispin.linalg import expm_eigh, expm_generator, unitarity_defect
 from trispin.metrics import eta_curve, fidelity, transfer_efficiency
 from trispin.pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, join
-from trispin.sequences import build_swap13, build_uzzz
+from trispin.sequences import build_swap13, build_uzzz, duration_scaling
 from trispin.spinsys import (
     SpinSystem,
     acetamide,
@@ -96,11 +97,23 @@ def test_evolve_rejects_a_nan_state():
         next(evolve_many(np.full((8, 8), np.nan), (PulseProgram(),), SYS))
 
 
-def test_a_nan_propagator_fails_the_exit_check():
-    # the delay's phases overflow to inf, and their exponentials are NaN
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(ValueError, match="propagator is not unitary: defect nan"):
-        propagator_of(PulseProgram((Delay(1e308),)), SYS)
+def test_a_nan_propagator_fails_the_exit_check(monkeypatch):
+    # every event lowers to finite ops, and only the product is NaN
+    monkeypatch.setattr(engine, "_chain", lambda terms: np.full(8, np.nan, dtype=complex))
+    with pytest.raises(ValueError, match="propagator is not unitary: defect nan"):
+        propagator_of(PulseProgram((Delay(1e-3),)), SYS)
+
+
+@pytest.mark.parametrize("ev, duration", [
+    (Delay(1e308), r"1e\+308"),  # its phases overflow in the lowering
+    (WeakPulse(frozenset({2}), 1e300, 1e10, 0.0), "10000000000.0"),  # its eigenphases overflow in the exp
+])
+def test_an_event_whose_phase_overflows_is_named_without_a_warning(ev, duration):
+    named = rf"^the phase of {type(ev).__name__}\(.*duration={duration}.*\) overflows"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=named):
+            propagator_of(PulseProgram((Delay(1e-3), ev)), ideal_chain(88.0))
 
 
 def test_ensemble_grid_shape_and_symmetry():
@@ -412,7 +425,7 @@ def test_one_real_eigh_per_pulse_generator(monkeypatch):
     sys, kappas = acetamide(), [0.2, 0.25, 0.3, 0.35]  # one chunk of the sparse D sweep
     eta_curve("D", kappas, sys, REALISTIC)
     j = 0.5 * (sys.j12 + sys.j23)
-    n = default_dante_n(max(kappas), j)
+    n = default_dante_n(max(kappas))
     pulses = {ev for kappa in kappas for ev in build_swap13_broadband("D", kappa, j, n, True).events
               if isinstance(ev, HardPulse) and ev.flip != 0.0}
     # a finite hard pulse's generator depends on its targets only: spin 2 (the
@@ -515,12 +528,13 @@ def test_realistic_d_sweep_matches_per_point_evolve_loop():
     # more points than one chunk
     sys, kappas = acetamide(), [0.05, 0.3, 0.7, 1.0, 1.2, 1.5, 1.75, 1.9, 1.95, 2.0]
     j = 0.5 * (sys.j12 + sys.j23)
-    n = default_dante_n(max(kappas), j)
+    n = default_dante_n(max(kappas))
     curve = eta_curve("D", kappas, sys, REALISTIC)
     assert len(curve) == len(kappas)
     for kappa, (tau, eta) in zip(kappas, curve):
         p = build_swap13_broadband("D", kappa, j, n, sparse_pi=True)
-        assert tau == p.nominal_duration
+        assert tau == 3 * duration_scaling("D", kappa)[0] / j  # the closed form
+        assert p.nominal_duration == pytest.approx(tau, rel=1e-14)
         rho = evolve_loop(spin_operator(1, "x"), p, sys, REALISTIC)
         assert abs(eta - transfer_efficiency(rho)) < 1e-12
 

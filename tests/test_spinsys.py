@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -120,3 +121,12 @@ def test_system_helpers():
 def test_a_value_whose_angular_frequency_overflows_is_rejected_by_name(name):
     with pytest.raises(ValueError, match=rf"^{name} must be finite, got 1e\+308 \(2 pi {name} overflows\)$"):
         replace(ideal_chain(88.0), **{name: 1e308})
+
+
+def test_values_that_overflow_the_free_hamiltonian_together_are_rejected_without_a_warning():
+    # each value passes alone: 2 pi 2.8e307 is finite, pi (3 x 2.8e307) is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^j12, j23, j13, nu1, nu2 and nu3 overflow the free Ham"):
+            SpinSystem(88.0, 88.0, 0.0, 2.8e307, 2.8e307, 2.8e307)
+        SpinSystem(88.0, 88.0, 0.0, 2.8e307, 0.0, 0.0)  # one alone still passes
