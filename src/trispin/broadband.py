@@ -21,6 +21,7 @@ import math
 from dataclasses import replace
 from numbers import Integral
 
+from .engine import MAX_GRID_POINTS
 from .pulseprog import TWO_PI, Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, join
 from .sequences import _check_kappa, build_uzzz, compose_swap13, geodesic_tau
 
@@ -35,6 +36,8 @@ def _check_segments(n: int) -> int:
         raise ValueError(f"DANTE segment count n must be an integer, got {n!r}")
     if n < 4 or n % 4 != 0:
         raise ValueError(f"DANTE segment count must be a positive multiple of 4, got {n}")
+    if n > MAX_GRID_POINTS:  # checked before any train is built
+        raise ValueError(f"DANTE segment count must be at most {MAX_GRID_POINTS}, got {n}")
     return int(n)
 
 

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import broadband, metrics, sequences
-from .engine import DEFAULT_RF_AMPLITUDES, SimulationSettings, inclusive_grid, propagator_stacks
+from .engine import IDEAL, SimulationSettings, inclusive_grid, propagator_stacks
 from .pulseprog import parse_program, serialize_program
 from .spinsys import SpinSystem, acetamide, ideal_chain, target_trilinear, swap13_target, spin_operator
 from .linalg import expm_generator
@@ -54,7 +54,7 @@ def _load_config(path: str | None) -> dict:
     """Flat key=value config; defaults reproduce the acetamide system."""
     ace = acetamide()
     cfg = {name: getattr(ace, name) for name in ("j12", "j23", "j13", "nu1", "nu2", "nu3")}
-    cfg.update(rf_proton=DEFAULT_RF_AMPLITUDES["1H"], rf_hetero=DEFAULT_RF_AMPLITUDES["15N"],
+    cfg.update(rf_proton=IDEAL.rf_proton, rf_hetero=IDEAL.rf_hetero,
                rf_fwhm=0.10, rf_grid=11)
     if path is None:
         return cfg
@@ -121,7 +121,7 @@ def cmd_eta_sweep(args) -> int:
                       cfg["nu1"], cfg["nu2"], cfg["nu3"])
     settings = SimulationSettings(
         mode=args.mode,
-        rf_amplitudes={"1H": cfg["rf_proton"], "15N": cfg["rf_hetero"]},
+        rf_proton=cfg["rf_proton"], rf_hetero=cfg["rf_hetero"],
         rf_fwhm=cfg["rf_fwhm"] if args.mode == "realistic" else 0.0,
         rf_grid_points=int(cfg["rf_grid"]),
     )

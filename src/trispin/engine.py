@@ -16,47 +16,45 @@ import numpy as np
 
 from .linalg import eigh_hermitian, expm_eigh, hermiticity_defect, unitarity_defect
 from .pulseprog import TWO_PI, Delay, HardPulse, PulseProgram, WeakPulse, ZRotation
-from .spinsys import SpinSystem, free_hamiltonian, rf_hamiltonian, spin_operator
+from .spinsys import CHANNELS, HETERO, PROTON, SpinSystem, free_hamiltonian, rf_hamiltonian, spin_operator
 
 # FWHM of a Gaussian = 2 sqrt(2 ln 2) sigma
 _FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
-DEFAULT_RF_AMPLITUDES = {"1H": 35700.0, "15N": 5500.0}
-
 # largest inclusive_grid (offset_scan's offsets, the CLI's kappa ranges) and rf ensemble
 MAX_GRID_POINTS = 10_000
+
+_RF_FIELDS = {PROTON: "rf_proton", HETERO: "rf_hetero"}  # channel -> its SimulationSettings field
 
 
 @dataclass(frozen=True)
 class SimulationSettings:
-    """Pulse realism mode, rf amplitudes per channel, inhomogeneity.
+    """Pulse realism mode, rf amplitudes, inhomogeneity.
 
-    rf_amplitudes, a mapping or (channel, Hz) pairs, is merged onto
-    DEFAULT_RF_AMPLITUDES and stored as sorted pairs, so settings stay
-    hashable. rf_fwhm is the full width at half height of the Gaussian
-    rf-amplitude distribution as a fraction of the nominal amplitude (0
-    disables the ensemble); the grid spans +/- 2 sigma with rf_grid_points
-    points.
+    rf_proton and rf_hetero are the nominal amplitudes (Hz) of the 1H and
+    15N channels (spinsys.CHANNELS). rf_fwhm is the full width at half
+    height of the Gaussian rf-amplitude distribution as a fraction of the
+    nominal amplitude (0 disables the ensemble); the grid spans +/- 2 sigma
+    with rf_grid_points points.
     """
 
     mode: str = "ideal"
-    rf_amplitudes: tuple = ()
+    rf_proton: float = 35700.0
+    rf_hetero: float = 5500.0
     rf_fwhm: float = 0.0
     rf_grid_points: int = 11
 
     def __post_init__(self):
-        amps = {**DEFAULT_RF_AMPLITUDES, **dict(self.rf_amplitudes)}
-        object.__setattr__(self, "rf_amplitudes", tuple(sorted(amps.items())))
         if self.mode not in ("ideal", "realistic"):
             raise ValueError(f"mode must be 'ideal' or 'realistic', got {self.mode!r}")
         # the engine exponentiates every pulse of a program in one batch, so
         # a NaN here would only surface as a LinAlgError from eigh
-        for channel, amp in self.rf_amplitudes:
+        for name in _RF_FIELDS.values():
+            amp = getattr(self, name)
             if not math.isfinite(amp):
-                raise ValueError(f"rf_amplitudes[{channel!r}] must be finite, got {amp!r}")
+                raise ValueError(f"{name} must be finite, got {amp!r}")
             if self.mode == "realistic" and amp <= 0:
-                raise ValueError(f"rf_amplitudes[{channel!r}] must be positive in realistic mode, "
-                                 f"got {amp!r}")
+                raise ValueError(f"{name} must be positive in realistic mode, got {amp!r}")
         if not 0.0 <= self.rf_fwhm < 1.0:
             raise ValueError("rf_fwhm must be in [0, 1)")
         if not isinstance(self.rf_grid_points, Integral):
@@ -65,50 +63,34 @@ class SimulationSettings:
             raise ValueError(f"rf_grid_points must be odd, positive and at most {MAX_GRID_POINTS}, "
                              f"got {self.rf_grid_points!r}")
 
-    def amplitude_for(self, channel: str) -> float:
-        for name, amp in self.rf_amplitudes:
-            if name == channel:
-                return amp
-        raise ValueError(f"no rf amplitude configured for channel {channel!r}")
-
 
 IDEAL = SimulationSettings()
 
 
-def _pulse_amplitude(ev: HardPulse, sys: SpinSystem, settings: SimulationSettings) -> float:
+def _pulse_amplitude(ev: HardPulse, settings: SimulationSettings) -> float:
     """rf amplitude (Hz) of a finite hard pulse: that of the slowest rf channel
     it touches, to which a simultaneous multi-channel pulse is stretched."""
-    amps = {ch: settings.amplitude_for(ch) for ch in {sys.channel_of(k) for k in ev.targets}}
-    for ch, amp in amps.items():
+    amps = {name: getattr(settings, name) for name in {_RF_FIELDS[CHANNELS[k]] for k in ev.targets}}
+    for name, amp in amps.items():
         if amp <= 0:
-            raise ValueError(f"channel {ch!r} has no positive rf amplitude")
+            raise ValueError(f"{name} must be positive for a finite pulse, got {amp!r}")
     return min(amps.values())
 
 
-def hard_pulse_width(ev: HardPulse, sys: SpinSystem, settings: SimulationSettings) -> float:
+def hard_pulse_width(ev: HardPulse, settings: SimulationSettings) -> float:
     """Finite width (s) of a hard pulse: |flip| / (2 pi amplitude) at the
     amplitude of the slowest rf channel it touches; a simultaneous
     multi-channel pulse is stretched to that channel."""
-    return abs(ev.flip) / (TWO_PI * _pulse_amplitude(ev, sys, settings))
+    return abs(ev.flip) / (TWO_PI * _pulse_amplitude(ev, settings))
 
 
-def total_duration(p: PulseProgram, settings: SimulationSettings = IDEAL,
-                   sys: SpinSystem | None = None) -> float:
-    """Program duration in seconds.
-
-    Ideal mode: delays plus weak-pulse durations. Realistic mode: hard pulses
-    additionally take hard_pulse_width each; needs the spin system for the
-    spin -> channel map.
-    """
-    total = p.nominal_duration
+def total_duration(p: PulseProgram, settings: SimulationSettings = IDEAL) -> float:
+    """Program duration in seconds: delays plus weak-pulse durations, and in
+    realistic mode a hard_pulse_width for each hard pulse."""
     if settings.mode == "ideal":
-        return total
-    if sys is None:
-        raise ValueError("realistic-mode duration needs the spin system for channel lookup")
-    for ev in p.events:
-        if isinstance(ev, HardPulse):
-            total += hard_pulse_width(ev, sys, settings)
-    return total
+        return p.nominal_duration
+    return sum((hard_pulse_width(ev, settings) for ev in p.events if isinstance(ev, HardPulse)),
+               p.nominal_duration)
 
 
 _IZ = {k: np.diag(spin_operator(k, "z")).real for k in (1, 2, 3)}
@@ -119,7 +101,7 @@ _FZ = sum(_IZ.values())  # diagonal of R = I1z + I2z + I3z
 _SPREAD = _FZ[:, None] - _FZ
 
 
-def _lower(ev, sys: SpinSystem, settings: SimulationSettings, h0: np.ndarray):
+def _lower(ev, settings: SimulationSettings, h0: np.ndarray):
     """A Delay, a ZRotation or a zero-width pulse as its diagonal phase angles;
     any other pulse as its generator key (weight of H0, targets, rf amplitude at
     unit scale), its time and its rf phase. A negative flip is lowered as the
@@ -138,10 +120,10 @@ def _lower(ev, sys: SpinSystem, settings: SimulationSettings, h0: np.ndarray):
     # Finite pulse at _pulse_amplitude for hard_pulse_width, so its generator
     # does not depend on the flip. The rf scale multiplies the delivered
     # amplitude, not the programmed duration.
-    width = hard_pulse_width(ev, sys, settings)
+    width = hard_pulse_width(ev, settings)
     if width == 0.0:
         return np.zeros(8)
-    return (1.0, ev.targets, _pulse_amplitude(ev, sys, settings)), width, phase
+    return (1.0, ev.targets, _pulse_amplitude(ev, settings)), width, phase
 
 
 # programs x rf scales lowered together (one program at least); bounds the transient arrays
@@ -180,7 +162,7 @@ def _chain(terms) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow leaves a NaN, which a check below reports
-def _lower_chunk(chunk, sys: SpinSystem, settings: SimulationSettings, h0, rf_scales):
+def _lower_chunk(chunk, settings: SimulationSettings, h0, rf_scales):
     """(K, B, 8, 8) propagators of K programs. Distinct events are lowered once:
     one exp for all delay/z-rotation phases, one real eigh for all distinct pulse
     generators at all scales (sound because h0 is diagonal), one exp per
@@ -191,7 +173,7 @@ def _lower_chunk(chunk, sys: SpinSystem, settings: SimulationSettings, h0, rf_sc
     index: dict = {}
     orders = {id(p): [index.setdefault(ev, len(index)) for ev in p.events]
               for p in programs if not p.parts}
-    ops = [_lower(ev, sys, settings, h0) for ev in index]  # made phase vectors, stacks below
+    ops = [_lower(ev, settings, h0) for ev in index]  # made phase vectors, stacks below
     diag = [i for i, op in enumerate(ops) if isinstance(op, np.ndarray)]
     for i, phases in zip(diag, np.exp(-1j * np.array([ops[i] for i in diag]))):
         ops[i] = phases
@@ -229,15 +211,11 @@ def propagator_stacks(programs, sys: SpinSystem, settings: SimulationSettings = 
     """Yield each program's total propagators at the rf scales as a (B, 8, 8)
     stack; events compose right-to-left in time. Draws max(1, _CHUNK_MEMBERS // B)
     programs at a time and lowers them together. Ideal mode ignores scales."""
-    for channel, _ in settings.rf_amplitudes:  # a misspelled channel would be ignored
-        if channel not in sys.channels and channel not in DEFAULT_RF_AMPLITUDES:
-            raise ValueError(f"rf_amplitudes[{channel!r}]: no spin is on that channel "
-                             f"(channels {sorted(set(sys.channels))})")
     h0 = free_hamiltonian(sys).real
     rf_scales = np.asarray(scales, float) if settings.mode == "realistic" else np.ones(len(scales))
     programs, size = iter(programs), max(1, _CHUNK_MEMBERS // max(1, len(rf_scales)))
     while chunk := list(islice(programs, size)):
-        yield from _lower_chunk(chunk, sys, settings, h0, rf_scales)
+        yield from _lower_chunk(chunk, settings, h0, rf_scales)
 
 
 def propagator_of(p: PulseProgram, sys: SpinSystem,
@@ -261,6 +239,8 @@ def evolve_many(rho0: np.ndarray, programs, sys: SpinSystem,
                 settings: SimulationSettings = IDEAL):
     """Yield U rho0 U† for each program, averaged over the rf ensemble."""
     rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != (8, 8):
+        raise ValueError(f"initial state must be 8x8, got shape {rho0.shape}")
     defect = hermiticity_defect(rho0)
     if not defect <= 1e-10:  # NaN fails
         raise ValueError(f"initial state is not Hermitian: defect {defect:.3e}")

@@ -19,6 +19,7 @@ are ignored.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from itertools import chain
@@ -33,10 +34,16 @@ def _validate_event(ev) -> None:
     # pulse, and fields() would double the cost of building a program
     for name, value in vars(ev).items():
         if name == "targets":
-            if not value:
+            # stored as a frozenset of ints: the engine hashes events, and the text format prints them
+            try:
+                targets = frozenset(map(operator.index, value))
+            except TypeError:
+                raise ValueError(f"targets must be an iterable of integer spin indices, got {value!r}") from None
+            if not targets:
                 raise ValueError("pulse requires at least one target spin")
-            if not {1, 2, 3}.issuperset(value):
-                raise ValueError(f"unknown spin index in targets {sorted(value)}")
+            if not {1, 2, 3}.issuperset(targets):
+                raise ValueError(f"unknown spin index in targets {sorted(targets)}")
+            object.__setattr__(ev, "targets", targets)
         elif name == "target":
             if value not in (1, 2, 3):
                 raise ValueError(f"unknown spin index {value}")
@@ -44,6 +51,8 @@ def _validate_event(ev) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
         elif value < 0 and name in ("amplitude", "duration"):
             raise ValueError(f"{name} must be >= 0, got {value!r}")
+        elif name == "amplitude" and not math.isfinite(TWO_PI * float(value)):  # Hz, used as 2 pi value
+            raise ValueError(f"amplitude must be finite, got {value!r} (2 pi amplitude overflows)")
 
 
 @dataclass(frozen=True)

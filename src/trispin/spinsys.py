@@ -24,6 +24,8 @@ AXES = ("x", "y", "z")
 
 PROTON = "1H"
 HETERO = "15N"
+# the amino protons (spins 1 and 3) share the 1H channel; the heteronucleus has its own
+CHANNELS = {1: PROTON, 2: HETERO, 3: PROTON}
 
 _SIGMA = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -35,12 +37,8 @@ _ID2 = np.eye(2, dtype=complex)
 
 @dataclass(frozen=True)
 class SpinSystem:
-    """Three weakly coupled spins 1/2: couplings, offsets, channel labels.
-
-    Couplings j12, j23, j13 and offsets nu1..nu3 are in Hz. Each spin is
-    assigned to exactly one rf channel; spins sharing a channel share pulse
-    hardware (amino protons on 1H, the heteronucleus on its own channel).
-    """
+    """Three weakly coupled spins 1/2: couplings j12, j23, j13 and offsets
+    nu1..nu3, in Hz. Spin k is on rf channel CHANNELS[k]."""
 
     j12: float
     j23: float
@@ -48,7 +46,6 @@ class SpinSystem:
     nu1: float = 0.0
     nu2: float = 0.0
     nu3: float = 0.0
-    channels: tuple[str, str, str] = (PROTON, HETERO, PROTON)
 
     def __post_init__(self):
         for name in ("j12", "j23", "j13", "nu1", "nu2", "nu3"):  # Hz, used as 2 pi value in rad/s
@@ -60,25 +57,17 @@ class SpinSystem:
         if not math.isfinite(h0_max):  # the largest |entry| of H0 (rad/s), which passing fields can overflow
             raise ValueError("j12, j23, j13, nu1, nu2 and nu3 overflow the free Hamiltonian together: "
                              "2 pi (|j12| + |j23| + |j13|) / 4 + pi (|nu1| + |nu2| + |nu3|) is not finite")
-        if len(self.channels) != 3:
-            raise ValueError("exactly three channel assignments required")
 
     @property
     def offsets(self) -> tuple[float, float, float]:
         return (self.nu1, self.nu2, self.nu3)
 
-    def channel_of(self, k: int) -> str:
-        return self.channels[k - 1]
-
-    def spins_on(self, channel: str) -> tuple[int, ...]:
-        return tuple(k for k in (1, 2, 3) if self.channels[k - 1] == channel)
-
     def shifted(self, channel: str, delta: float) -> "SpinSystem":
         """Shift the offsets of all spins on the given channel by delta (Hz)."""
-        spins = self.spins_on(channel)
+        spins = [k for k, ch in CHANNELS.items() if ch == channel]
         if not spins:  # a misspelled channel would shift nothing
             raise ValueError(f"channel {channel!r}: no spin is on that channel "
-                             f"(channels {sorted(set(self.channels))})")
+                             f"(channels {sorted(set(CHANNELS.values()))})")
         return replace(self, **{f"nu{k}": self.offsets[k - 1] + delta for k in spins})
 
 
@@ -136,6 +125,9 @@ def rf_hamiltonian(targets, amplitude: float, phase: float) -> np.ndarray:
 
 def target_trilinear(alpha: str, beta: str, gamma: str, kappa) -> np.ndarray:
     """exp{-i 2 pi kappa I1a I2b I3g}; an array of kappas gives a stack from one eigh."""
+    k = np.asarray(kappa, dtype=float)
+    if not np.isfinite(k).all():  # a NaN target would pass through fidelity unnoticed
+        raise ValueError(f"kappa must be finite, got {float(k[~np.isfinite(k)].flat[0])!r}")
     prod = spin_operator(1, alpha) @ spin_operator(2, beta) @ spin_operator(3, gamma)
     return expm_generator(2 * np.pi * prod, kappa)
 

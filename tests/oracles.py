@@ -72,7 +72,7 @@ def _hard_pulse_unitary(ev, sys, settings, h0, rf_scale):
     # Finite pulse of hard_pulse_width; every channel's rf is stretched so
     # its flip completes within that width. The inhomogeneity scale
     # multiplies the delivered amplitude, not the programmed duration.
-    width = hard_pulse_width(ev, sys, settings)
+    width = hard_pulse_width(ev, settings)
     if width == 0.0:
         return np.eye(8, dtype=complex)
     amp = rf_scale * ev.flip / (TWO_PI * width)

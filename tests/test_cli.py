@@ -276,10 +276,12 @@ def test_oversized_kappa_grid_rejected_before_it_is_built(capsys, command, kappa
      "cannot write "),
     (["compile", "--variant", "B", "--kappa", "1", "--n", "7", "--out", "{missing}"], None,
      "DANTE segment count must be a positive multiple of 4, got 7"),
+    (["compile", "--variant", "D", "--kappa", "1", "--broadband", "--n", "4000000000", "--out", "{missing}"],
+     None, "DANTE segment count must be at most 10000, got 4000000000"),
 ], ids=["kappa-value", "kappa-shape", "kappa-size", "kappa-domain-tail", "kappa-domain-all",
         "curves-kappa-domain", "kappa-empty", "curves-kappa-empty", "config-no-equals", "config-key",
         "config-value", "config-rf-grid", "config-unreadable", "config-nu3-overflow", "variant", "suite", "j", "out",
-        "compile-n"])
+        "compile-n", "compile-n-huge"])
 def test_every_command_error_returns_2_with_one_stderr_line(tmp_path, capsys, argv, config,
                                                             message):
     cfg, missing = tmp_path / "run.cfg", tmp_path / "missing"

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -66,7 +67,7 @@ def test_join_homomorphism():
 
 
 def test_ideal_mode_ignores_rf_amplitudes():
-    weird = SimulationSettings(rf_amplitudes={"1H": 1.0, "15N": 2.0})
+    weird = SimulationSettings(rf_proton=1.0, rf_hetero=2.0)
     p = build_swap13("C", 1.0, J)
     assert np.allclose(propagator_of(p, SYS, weird), propagator_of(p, SYS, IDEAL))
 
@@ -95,6 +96,12 @@ def test_evolve_rejects_non_hermitian_state():
 def test_evolve_rejects_a_nan_state():
     with pytest.raises(ValueError, match="initial state is not Hermitian: defect nan"):
         next(evolve_many(np.full((8, 8), np.nan), (PulseProgram(),), SYS))
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (8,), (2, 8, 8)])
+def test_evolve_rejects_a_state_that_is_not_8x8(shape):
+    with pytest.raises(ValueError, match=rf"^initial state must be 8x8, got shape {re.escape(str(shape))}$"):
+        next(evolve_many(np.ones(shape), (PulseProgram(),), SYS))
 
 
 def test_a_nan_propagator_fails_the_exit_check(monkeypatch):
@@ -164,39 +171,31 @@ def test_settings_validation():
     numpy_count = SimulationSettings(mode="realistic", rf_fwhm=0.1, rf_grid_points=np.int64(5))
     assert np.array_equal(ensemble_scales(numpy_count)[0],
                           ensemble_scales(replace(numpy_count, rf_grid_points=5))[0])
-    with pytest.raises(ValueError):
-        SimulationSettings(mode="realistic", rf_amplitudes={"1H": 0.0})
-    with pytest.raises(ValueError):
-        IDEAL.amplitude_for("13C")
+    with pytest.raises(ValueError, match=r"^rf_proton must be positive in realistic mode, got 0\.0$"):
+        SimulationSettings(mode="realistic", rf_proton=0.0)
 
 
 @pytest.mark.parametrize("mode", ["ideal", "realistic"])
 @pytest.mark.parametrize("amp", [math.nan, math.inf, -math.inf])
 def test_settings_reject_non_finite_rf_amplitude(mode, amp):
-    with pytest.raises(ValueError, match=r"rf_amplitudes\['1H'\] must be finite"):
-        SimulationSettings(mode=mode, rf_amplitudes={"1H": amp})
+    for name in ("rf_proton", "rf_hetero"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {amp!r}$"):
+            SimulationSettings(mode=mode, **{name: amp})
 
 
 @pytest.mark.parametrize("mode", ["ideal", "realistic"])
 def test_misspelled_rf_channel_is_rejected(mode):
-    settings = SimulationSettings(mode=mode, rf_amplitudes={"1h": 1000.0})
-    with pytest.raises(ValueError, match=r"rf_amplitudes\['1h'\]"):
-        propagator_of(build_uzzz("B", 1.0, J), SYS, settings)
-    # a channel no spin uses is allowed when it is a default one
-    other = SpinSystem(J, J, 0.0, 0.0, 0.0, 0.0, ("1H", "1H", "1H"))
-    assert unitarity_defect(propagator_of(build_uzzz("B", 1.0, J), other,
-                                          SimulationSettings(mode=mode))) < 1e-10
+    with pytest.raises(TypeError, match="rf_protn"):
+        SimulationSettings(mode=mode, rf_protn=1000.0)
 
 
-def test_settings_merge_a_mapping_or_pairs_onto_the_defaults():
-    from_dict = SimulationSettings(rf_amplitudes={"1H": 3.0})
-    from_pairs = SimulationSettings(rf_amplitudes=(("1H", 3.0),))
-    assert from_dict == from_pairs and hash(from_dict) == hash(from_pairs)
-    assert from_dict.rf_amplitudes == (("15N", 5500.0), ("1H", 3.0))
-    assert from_dict.amplitude_for("1H") == 3.0 and from_dict.amplitude_for("15N") == 5500.0
-    assert repr(IDEAL) == ("SimulationSettings(mode='ideal', rf_amplitudes=(('15N', 5500.0), "
-                           "('1H', 35700.0)), rf_fwhm=0.0, rf_grid_points=11)")
-    assert replace(from_dict, mode="realistic").rf_amplitudes == from_dict.rf_amplitudes
+def test_settings_default_to_the_acetamide_rf_amplitudes():
+    slow = SimulationSettings(rf_proton=3.0)
+    assert (slow.rf_proton, slow.rf_hetero) == (3.0, 5500.0)
+    assert slow == SimulationSettings("ideal", 3.0) and hash(slow) == hash(SimulationSettings("ideal", 3.0))
+    assert repr(IDEAL) == ("SimulationSettings(mode='ideal', rf_proton=35700.0, rf_hetero=5500.0, "
+                           "rf_fwhm=0.0, rf_grid_points=11)")
+    assert replace(slow, mode="realistic").rf_proton == 3.0
 
 
 @pytest.mark.parametrize("start, stop, step, message", [
@@ -317,12 +316,13 @@ _EVENTS = st.one_of(
 _PROGRAMS = _EVENTS.map(lambda events: PulseProgram(tuple(events)))
 _BASE_SYSTEMS = st.sampled_from((SYS, acetamide(), SpinSystem(88.0, 85.0, 3.0, 120.0, -250.0, 410.0)))
 _OFFSET = st.floats(-1000.0, 1000.0)
-_SYSTEMS = _BASE_SYSTEMS | st.builds(lambda s, nus: SpinSystem(s.j12, s.j23, s.j13, *nus, s.channels),
+_SYSTEMS = _BASE_SYSTEMS | st.builds(lambda s, nus: SpinSystem(s.j12, s.j23, s.j13, *nus),
                                      _BASE_SYSTEMS, st.tuples(_OFFSET, _OFFSET, _OFFSET))
 _SETTINGS = st.builds(
     SimulationSettings,
     mode=st.sampled_from(("ideal", "realistic")),
-    rf_amplitudes=st.fixed_dictionaries({"1H": st.floats(5e3, 5e4), "15N": st.floats(1e3, 1e4)}),
+    rf_proton=st.floats(5e3, 5e4),
+    rf_hetero=st.floats(1e3, 1e4),
     rf_fwhm=st.floats(0.0, 0.3),
     rf_grid_points=st.sampled_from((1, 3, 5, 7, 9, 11, 13)),
 )
@@ -408,7 +408,7 @@ def test_pulse_unitaries_match_the_taylor_oracle(ev, sys, settings, scales):
         elif settings.mode == "ideal":
             h, t = rf_hamiltonian(ev.targets, 1.0 / (2 * math.pi), ev.phase), ev.flip
         else:
-            t = hard_pulse_width(ev, sys, settings)
+            t = hard_pulse_width(ev, settings)
             amp = c * ev.flip / (2 * math.pi * t) if t else 0.0
             h = h0 + rf_hamiltonian(ev.targets, amp, ev.phase)
         assert np.max(np.abs(u - expm_taylor(h, t))) < 1e-12

@@ -74,7 +74,7 @@ def test_eta_curve_kappa_zero_is_trivial():
 
 
 def test_eta_curve_ideal_mode_ignores_rf_amplitudes():
-    weird = SimulationSettings(rf_amplitudes={"1H": 3.0, "15N": 1.0})
+    weird = SimulationSettings(rf_proton=3.0, rf_hetero=1.0)
     kappas = [0.5, 1.0]
     assert eta_curve("C", kappas, SYS, weird) == eta_curve("C", kappas, SYS, IDEAL)
 

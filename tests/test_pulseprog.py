@@ -1,14 +1,16 @@
 import hashlib
 import math
+import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from oracles import serialize_loop
 from trispin import pulseprog
 from trispin.broadband import broadband_uzzz, build_swap13_broadband, refocus_offsets
-from trispin.engine import SimulationSettings, total_duration
+from trispin.engine import SimulationSettings, propagator_of, total_duration
 from trispin.pulseprog import (
     Delay,
     HardPulse,
@@ -85,14 +87,36 @@ def test_event_validation():
         ZRotation(4, 1.0)
 
 
+@pytest.mark.parametrize("targets", [{1}, [1], (1,), [np.int64(1)], [True]])
+def test_targets_are_stored_as_a_frozenset_of_ints(targets):
+    ev = HardPulse(targets, math.pi, 0.0)
+    assert type(ev.targets) is frozenset and ev.targets == frozenset({1})
+    assert all(type(k) is int for k in ev.targets)
+    p = PulseProgram((ev, Delay(1e-3)))
+    assert hash(p) == hash(PulseProgram((HardPulse(frozenset({1}), math.pi, 0.0), Delay(1e-3))))
+    assert np.array_equal(propagator_of(p, ideal_chain(88.0)),
+                          propagator_of(parse_program(serialize_program(p)), ideal_chain(88.0)))
+
+
+@pytest.mark.parametrize("targets", [1, None, [1.0], ["1"], [[1]]])
+def test_targets_that_are_not_an_iterable_of_integers_are_named(targets):
+    with pytest.raises(ValueError, match=r"^targets must be an iterable of integer spin indices, got "):
+        HardPulse(targets, math.pi, 0.0)
+    with pytest.raises(ValueError, match=r"^targets must be"):
+        WeakPulse(targets, 10.0, 1e-3, 0.0)
+
+
 @pytest.mark.parametrize("make, field", [
     (lambda: Delay(math.nan), "duration"),
     (lambda: Delay(math.inf), "duration"),
     (lambda: WeakPulse(frozenset({2}), math.nan, 1e-3, 0.0), "amplitude"),
+    (lambda: WeakPulse(frozenset({2}), 1e308, 1e-3, 0.0), "amplitude"),  # 2 pi amplitude overflows
+    (lambda: WeakPulse(frozenset({2}), np.float64(1e308), 1e-3, 0.0), "amplitude"),
     (lambda: WeakPulse(frozenset({2}), 10.0, math.inf, 0.0), "duration"),
     (lambda: HardPulse(frozenset({1}), math.pi, math.nan), "phase"),
     (lambda: parse_program("delay 1e400s"), "duration"),
-], ids=["delay-nan", "delay-inf", "wpulse-amp-nan", "wpulse-dur-inf", "pulse-phase-nan",
+], ids=["delay-nan", "delay-inf", "wpulse-amp-nan", "wpulse-amp-overflows", "wpulse-numpy-amp-overflows",
+        "wpulse-dur-inf", "pulse-phase-nan",
         "parsed-delay-1e400s"])
 def test_non_finite_event_fields_rejected(make, field):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -171,17 +195,14 @@ def test_one_join_equals_the_chain_of_pairwise_joins(count):
 
 
 def test_total_duration_realistic_adds_pulse_widths():
-    sys = ideal_chain(88.0)
     realistic = SimulationSettings(mode="realistic")
     p90 = PulseProgram((HardPulse(frozenset({1}), math.pi / 2, 0.0),))
     # 90 degrees at 35.7 kHz: 0.25 / 35700 s
-    assert total_duration(p90, realistic, sys) == pytest.approx(7.0028e-6, rel=1e-4)
+    assert total_duration(p90, realistic) == pytest.approx(7.0028e-6, rel=1e-4)
     assert total_duration(p90) == 0.0
     # multi-channel pulse takes the slowest channel's width
     p_all = PulseProgram((HardPulse(frozenset({1, 2, 3}), math.pi, 0.0),))
-    assert total_duration(p_all, realistic, sys) == pytest.approx(0.5 / 5500.0)
-    with pytest.raises(ValueError):
-        total_duration(p90, realistic, None)
+    assert total_duration(p_all, realistic) == pytest.approx(0.5 / 5500.0)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -190,9 +211,16 @@ def test_total_duration_realistic_adds_pulse_widths():
     ("wpulse targets=2 amp=1e400Hz dur=1ms phase=x", "amplitude must be finite, got inf"),
     ("delay 1e400s", "duration must be finite, got inf"),
     ("zrot target=7 angle=90", "unknown spin index 7"),
+    ("wpulse targets=2 amp=1e308Hz dur=1ms phase=x",
+     "amplitude must be finite, got 1e+308 (2 pi amplitude overflows)"),
+    ("pulse targets=1 angle=90 phase=up", "bad phase 'up'"),
+    ("pulse targets=1,a angle=90 phase=x", "bad target list '1,a'"),
+    ("pulse targets=1 angle=90 x", "expected key=value, got 'x'"),
+    ("pulse targets=1 angle=90 phase=x width=2", "unknown field 'width'"),
+    ("zrot target=a angle=90", "bad zrot arguments ['target=a', 'angle=90']"),
 ])
 def test_event_validator_errors_carry_line_number(bad, message):
-    with pytest.raises(ProgramSyntaxError, match=f"^line 2: {message}$") as err:
+    with pytest.raises(ProgramSyntaxError, match=f"^line 2: {re.escape(message)}$") as err:
         parse_program(f"delay 1ms\n{bad}\n")
     assert err.value.line == 2
 

@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 
 from trispin.linalg import expm_generator
 from trispin.spinsys import (
+    CHANNELS,
     SpinSystem,
     acetamide,
     free_hamiltonian,
@@ -49,9 +51,7 @@ def test_acetamide_parameters():
     sys = acetamide()
     assert (sys.j12, sys.j23, sys.j13) == (88.8, 87.3, 2.9)
     assert sys.offsets == (0.0, 0.0, 358.0)
-    assert sys.channel_of(1) == sys.channel_of(3) == "1H"
-    assert sys.channel_of(2) == "15N"
-    assert sys.spins_on("1H") == (1, 3)
+    assert CHANNELS == {1: "1H", 2: "15N", 3: "1H"}
 
 
 def test_rf_hamiltonian_phase_and_amplitude():
@@ -78,6 +78,17 @@ def test_trilinear_target_is_expm_of_product():
     gen = 2 * np.pi * kappa * prod / 8.0
     assert np.allclose(target_trilinear("z", "z", "z", kappa),
                        expm_generator(gen, 1.0), atol=1e-12)
+
+
+@pytest.mark.parametrize("kappa, shown", [
+    (math.nan, "nan"), (math.inf, "inf"), (np.array([0.5, -math.inf, math.nan]), "-inf"),
+    (np.array([[1.0], [math.nan]]), "nan"),
+])
+def test_trilinear_target_rejects_a_non_finite_kappa_without_a_warning(kappa, shown):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^kappa must be finite, got {shown}$"):
+            target_trilinear("z", "z", "z", kappa)
 
 
 @pytest.mark.parametrize("axes", ["zzz", "xzx", "yzy"])
