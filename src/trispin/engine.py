@@ -101,15 +101,15 @@ _FZ = sum(_IZ.values())  # diagonal of R = I1z + I2z + I3z
 _SPREAD = _FZ[:, None] - _FZ
 
 
-def _lower(ev, settings: SimulationSettings, h0: np.ndarray):
-    """A Delay, a ZRotation or a zero-width pulse as its diagonal phase angles;
-    any other pulse as its generator key (weight of H0, targets, rf amplitude at
-    unit scale), its time and its rf phase. A negative flip is lowered as the
-    positive flip at phase + pi."""
+def _lower(ev, settings: SimulationSettings, h0_diag: np.ndarray):
+    """A Delay, a ZRotation or a zero-width pulse as its (S, 8) diagonal phase
+    angles, one row per spin system; any other pulse as its generator key (weight
+    of H0, targets, rf amplitude at unit scale), its time and its rf phase. A
+    negative flip is lowered as the positive flip at phase + pi."""
     if isinstance(ev, Delay):
-        return np.diag(h0) * ev.duration
+        return h0_diag * ev.duration
     if isinstance(ev, ZRotation):
-        return ev.angle * _IZ[ev.target]
+        return np.broadcast_to(ev.angle * _IZ[ev.target], h0_diag.shape)
     if isinstance(ev, WeakPulse):
         return (1.0, ev.targets, ev.amplitude), ev.duration, ev.phase
     if not isinstance(ev, HardPulse):
@@ -122,11 +122,11 @@ def _lower(ev, settings: SimulationSettings, h0: np.ndarray):
     # amplitude, not the programmed duration.
     width = hard_pulse_width(ev, settings)
     if width == 0.0:
-        return np.zeros(8)
+        return np.zeros(h0_diag.shape)
     return (1.0, ev.targets, _pulse_amplitude(ev, settings)), width, phase
 
 
-# programs x rf scales lowered together (one program at least); bounds the transient arrays
+# programs x members lowered together (one program at least, members sliced); bounds the transient arrays
 _CHUNK_MEMBERS = 88
 
 
@@ -145,17 +145,17 @@ def _post_order(programs) -> list:
 
 
 def _chain(terms) -> np.ndarray:
-    """Product of terms in time order, the first acting first. An (8,) diagonal
-    scales the rows; a (B, 8, 8) stack scales the columns while the product is
-    still an (8,) diagonal and multiplies it after that."""
+    """Product of terms in time order, the first acting first. An (S, 8) diagonal
+    scales the rows; an (M, 8, 8) stack scales the columns while the product is
+    still diagonal and multiplies it after that. S is 1 or M: they broadcast."""
     if not terms:
-        return np.ones(8, dtype=complex)
+        return np.ones((1, 8), dtype=complex)
     u = terms[0]  # never written in place: a one-term chain returns it
     for op in islice(terms, 1, None):
-        if u.ndim == 1:
-            u = op * u
-        elif op.ndim == 1:
-            u = op[:, None] * u
+        if u.ndim < 3:
+            u = op * u[:, None] if op.ndim == 3 else op * u
+        elif op.ndim < 3:
+            u = op[..., None] * u
         else:
             u = op @ u
     return u
@@ -163,17 +163,18 @@ def _chain(terms) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow leaves a NaN, which a check below reports
 def _lower_chunk(chunk, settings: SimulationSettings, h0, rf_scales):
-    """(K, B, 8, 8) propagators of K programs. Distinct events are lowered once:
-    one exp for all delay/z-rotation phases, one real eigh for all distinct pulse
-    generators at all scales (sound because h0 is diagonal), one exp per
-    phase-free class (generator and time) and one for all pulse phases. Then each
-    distinct program of the parts trees is chained once, parts first: a leaf (a
-    program without parts) from its events, a node from its parts' products."""
+    """(K, M, 8, 8) propagators of K programs at M members, the broadcast of h0 (S, 8, 8)
+    and the rf scales. Distinct events are lowered once: one exp for all delay/z-rotation
+    phases, one real eigh for all distinct pulse generators at all members (sound as h0 is
+    diagonal), one exp per phase-free class (generator and time) and one for all pulse
+    phases. Then each distinct program of the parts trees is chained once, parts first: a
+    leaf (a program without parts) from its events, a node from its parts' products."""
     programs = _post_order(chunk)  # alive for the call, so their ids key products
     index: dict = {}
     orders = {id(p): [index.setdefault(ev, len(index)) for ev in p.events]
               for p in programs if not p.parts}
-    ops = [_lower(ev, settings, h0) for ev in index]  # made phase vectors, stacks below
+    h0_diag = np.diagonal(h0, axis1=1, axis2=2)
+    ops = [_lower(ev, settings, h0_diag) for ev in index]  # made phase vectors, stacks below
     diag = [i for i, op in enumerate(ops) if isinstance(op, np.ndarray)]
     for i, phases in zip(diag, np.exp(-1j * np.array([ops[i] for i in diag]))):
         ops[i] = phases
@@ -192,11 +193,13 @@ def _lower_chunk(chunk, settings: SimulationSettings, h0, rf_scales):
         stacks *= np.exp(-1j * np.array(phis)[:, None, None] * _SPREAD)[:, None]
         for i, stack in zip(pulses, stacks):
             ops[i] = stack
-    products = {}  # id of a program in programs -> its (8,) phases or (B, 8, 8) product
+    products = {}  # id of a program in programs -> its diagonal or (M, 8, 8) product
     for p in programs:
         terms = [products[id(q)] for q in p.parts] if p.parts else [ops[i] for i in orders[id(p)]]
         products[id(p)] = _chain(terms)
-    out = np.array([u if u.ndim == 3 else np.broadcast_to(np.diag(u), (len(rf_scales), 8, 8))
+    members = len(rf_scales) if len(h0) == 1 else len(h0)
+    diagonal = np.eye(8, dtype=bool)  # a diagonal product is placed there; its zeros are +0.0, as np.diag's
+    out = np.array([u if u.ndim == 3 else np.broadcast_to(np.where(diagonal, u[..., None], 0), (members, 8, 8))
                     for u in (products[id(p)] for p in chunk)])
     defect = unitarity_defect(out)  # the exit check, once per chunk; NaN fails it
     if not defect <= 1e-10:
@@ -206,16 +209,23 @@ def _lower_chunk(chunk, settings: SimulationSettings, h0, rf_scales):
     return out
 
 
-def propagator_stacks(programs, sys: SpinSystem, settings: SimulationSettings = IDEAL,
-                      scales=(1.0,)):
-    """Yield each program's total propagators at the rf scales as a (B, 8, 8)
-    stack; events compose right-to-left in time. Draws max(1, _CHUNK_MEMBERS // B)
-    programs at a time and lowers them together. Ideal mode ignores scales."""
-    h0 = free_hamiltonian(sys).real
+def propagator_stacks(programs, sys, settings: SimulationSettings = IDEAL, scales=(1.0,)):
+    """Yield each program's (M, 8, 8) propagator stack; events compose right-to-left
+    in time. sys (a SpinSystem or a sequence of them) and the rf scales, which ideal
+    mode ignores, have 1 or M entries each and broadcast to M members. Lowers
+    max(1, _CHUNK_MEMBERS // M) programs at a time, in slices of _CHUNK_MEMBERS members."""
+    systems = (sys,) if isinstance(sys, SpinSystem) else tuple(sys)
+    h0 = np.array([free_hamiltonian(s).real for s in systems]).reshape(-1, 8, 8)
     rf_scales = np.asarray(scales, float) if settings.mode == "realistic" else np.ones(len(scales))
-    programs, size = iter(programs), max(1, _CHUNK_MEMBERS // max(1, len(rf_scales)))
+    if len(rf_scales) != len(h0) and 1 not in (len(h0), len(rf_scales)):
+        raise ValueError(f"sys and scales must broadcast to one member count, "
+                         f"got {len(h0)} spin systems and {len(rf_scales)} rf scales")
+    members = max(1, len(h0), len(rf_scales))
+    slices = [[a[m:m + _CHUNK_MEMBERS] if len(a) > 1 else a for a in (h0, rf_scales)]
+              for m in range(0, members, _CHUNK_MEMBERS)]
+    programs, size = iter(programs), max(1, _CHUNK_MEMBERS // members)
     while chunk := list(islice(programs, size)):
-        yield from _lower_chunk(chunk, settings, h0, rf_scales)
+        yield from np.concatenate([_lower_chunk(chunk, settings, *operands) for operands in slices], axis=1)
 
 
 def propagator_of(p: PulseProgram, sys: SpinSystem,
@@ -270,17 +280,14 @@ def inclusive_grid(start: float, stop: float, step: float) -> list[float]:
 
 
 def offset_scan(p: PulseProgram, sys: SpinSystem, settings: SimulationSettings,
-                channel: str, start: float, stop: float, step: float,
-                metric) -> list[tuple[float, float]]:
-    """Evaluate metric(program, shifted system, settings) over an offset grid.
-
-    The grid shifts the offsets of all spins on the given channel by each
-    value of inclusive_grid(start, stop, step), at most MAX_GRID_POINTS values.
-    """
+                channel: str, start: float, stop: float, step: float) -> tuple[list[float], np.ndarray]:
+    """(offsets, (N, 8, 8) stack) from one engine call: the program's propagators at the
+    nominal rf amplitude, the offsets of the channel's spins shifted by each member of
+    inclusive_grid(start, stop, step), at most MAX_GRID_POINTS values."""
     try:
         offsets = inclusive_grid(start, stop, step)
     except ValueError as exc:
         raise ValueError(f"offset {exc}") from None
     if not offsets:
         raise ValueError("empty offset range")
-    return [(o, float(metric(p, sys.shifted(channel, o), settings))) for o in offsets]
+    return offsets, next(propagator_stacks((p,), [sys.shifted(channel, o) for o in offsets], settings))

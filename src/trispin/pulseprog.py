@@ -44,15 +44,22 @@ def _validate_event(ev) -> None:
             if not {1, 2, 3}.issuperset(targets):
                 raise ValueError(f"unknown spin index in targets {sorted(targets)}")
             object.__setattr__(ev, "targets", targets)
-        elif name == "target":
-            if value not in (1, 2, 3):
-                raise ValueError(f"unknown spin index {value}")
+        elif name == "target":  # an int, as each of targets: True is spin 1, and 1.0 no spin index
+            try:
+                target = operator.index(value)
+            except TypeError:
+                raise ValueError(f"target must be an integer spin index, got {value!r}") from None
+            if target not in (1, 2, 3):
+                raise ValueError(f"unknown spin index {target}")
+            object.__setattr__(ev, "target", target)
         elif not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
         elif value < 0 and name in ("amplitude", "duration"):
             raise ValueError(f"{name} must be >= 0, got {value!r}")
         elif name == "amplitude" and not math.isfinite(TWO_PI * float(value)):  # Hz, used as 2 pi value
             raise ValueError(f"amplitude must be finite, got {value!r} (2 pi amplitude overflows)")
+        elif type(value) is not float:  # an np.float64, bool or int: stored as the float the text writes
+            object.__setattr__(ev, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -107,8 +114,10 @@ class PulseProgram:
     parts: tuple = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.kappa is not None and not math.isfinite(self.kappa):
-            raise ValueError(f"kappa must be finite, got {self.kappa!r}")
+        if self.kappa is not None:
+            if not math.isfinite(self.kappa):
+                raise ValueError(f"kappa must be finite, got {self.kappa!r}")
+            object.__setattr__(self, "kappa", float(self.kappa))  # a float, as the event fields
 
     @property
     def nominal_duration(self) -> float:

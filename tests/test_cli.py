@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trispin import cli
 from trispin.engine import MAX_GRID_POINTS
@@ -352,3 +354,54 @@ def test_repeated_main_calls_match_fresh_processes(monkeypatch):
     assert [code for code, _, _ in calls] == [0, 2, 2, 0, 0]
     assert calls[0] == calls[-1]
     assert cli.build_parser() is cli.build_parser()
+
+
+# Hostile input: every argv exits 0, or exits 2 with an empty stdout and one
+# stderr line (after argparse's usage lines when argparse itself rejects the
+# argv). Values mix non-finite, signed-zero, subnormal, overflowing and junk
+# strings with valid ones. Kappa grids, --n and the rf grid are drawn small, so
+# the property runs in seconds: large valid values only take longer to compute.
+_HOSTILE = ("nan", "-nan", "inf", "-inf", "-0", "0", "5e-324", "1e-320", "1e308", "-1e308", "1e400",
+            "", " ", "x", "1,5", "0x10")
+_VALUE = st.sampled_from(("1", "0.5", "2", "88")) | st.sampled_from(_HOSTILE + ("-3",))
+_KAPPA = st.builds("{}:{}{}".format, st.sampled_from(("0", "0.25", "1")), st.sampled_from(("0.5", "1", "2")),
+                   st.sampled_from(("", ":0.25", ":1"))) | st.lists(
+    st.sampled_from(_HOSTILE + ("0", "0.25", "0.5", "1", "1.5", "2", "2.5")), min_size=1, max_size=4).map(":".join)
+_CONFIG_KEYS = ("j12", "j23", "j13", "nu1", "nu2", "nu3", "rf_proton", "rf_hetero", "rf_fwhm", "rf_grid", "J")
+_SMALL_INTS = st.sampled_from(("1", "3", "4", "8", "11")) | st.sampled_from(
+    ("-4", "0", "7", "10001", "4000000000", "1.5", "x", ""))
+_ARGV = st.one_of(
+    st.tuples(st.just(["table1", "--J"]), _VALUE).map(lambda t: t[0] + [t[1]]),
+    st.tuples(st.sampled_from(("identities", "swap", "broadband", "limits")) | st.sampled_from(("paper", "")),
+              _VALUE).map(
+        lambda t: ["verify", t[0], "--J", t[1]]),
+    _KAPPA.map(lambda k: ["curves", "--kappa", k]),
+    st.tuples(st.sampled_from("ABCD") | st.sampled_from(("E", "")),
+              st.sampled_from(("ideal", "realistic")) | st.just("exact"), _KAPPA).map(lambda t: ["eta-sweep", "--variant", t[0], "--mode", t[1], "--kappa", t[2]]),
+    st.tuples(st.sampled_from(("A", "B", "C", "D", "E")), _VALUE, _VALUE, st.booleans(),
+              st.none() | _SMALL_INTS).map(
+        lambda t: ["compile", "--variant", t[0], "--kappa", t[1], "--J", t[2], "--out", os.devnull]
+        + ["--broadband"] * t[3] + (["--n", t[4]] if t[4] is not None else [])),
+)
+# a one-key config file for eta-sweep, in either mode: a key and its value
+_CONFIG = st.none() | st.tuples(st.sampled_from(_CONFIG_KEYS),
+                                st.one_of(_VALUE, _SMALL_INTS, st.sampled_from(("0.1", "35700", "5500"))))
+
+
+@settings(deadline=None)
+@given(_ARGV, _CONFIG)
+def test_hostile_argv_exits_0_or_2_with_one_stderr_line(argv, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] == "eta-sweep" and config is not None:
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text("{} = {}\n".format(*config))
+            argv = argv + ["--config", str(cfg)]
+        code, out, err = _in_process(argv)
+    assert code in (0, 2), (code, err)
+    if code == 2:
+        assert out == ""
+        lines = err.splitlines()
+        if err.startswith("usage: "):  # argparse's rejection: its usage, then one error line
+            assert ": error: " in lines[-1] and not any(": error: " in line for line in lines[:-1])
+            lines = lines[-1:]
+        assert len(lines) == 1 and err.endswith("\n"), err

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -215,44 +216,34 @@ def test_inclusive_grid_is_empty_when_stop_precedes_start():
     assert engine.inclusive_grid(1.0, 1.0, 0.1) == [1.0]
 
 
-def _fid_metric(p, sys, settings):
-    return fidelity(propagator_of(p, sys, settings),
-                    target_trilinear("z", "z", "z", 1.0))
-
-
 def test_offset_scan_grid_and_nominal_point():
     p = build_uzzz("D", 1.0, J)
-    curve = offset_scan(p, SYS, IDEAL, "1H", -100.0, 100.0, 50.0, _fid_metric)
-    assert [o for o, _ in curve] == [-100.0, -50.0, 0.0, 50.0, 100.0]
-    nominal = _fid_metric(p, SYS, IDEAL)
-    zero = dict(curve)[0.0]
-    assert zero == pytest.approx(nominal, abs=1e-12)
-    single = offset_scan(p, SYS, IDEAL, "1H", 0.0, 0.0, 10.0, _fid_metric)
-    assert single == [(0.0, zero)]
+    offsets, stack = offset_scan(p, SYS, IDEAL, "1H", -100.0, 100.0, 50.0)
+    assert offsets == [-100.0, -50.0, 0.0, 50.0, 100.0] and stack.shape == (5, 8, 8)
+    assert np.array_equal(stack[2], propagator_of(p, SYS, IDEAL))
+    single_offsets, single = offset_scan(p, SYS, IDEAL, "1H", 0.0, 0.0, 10.0)
+    assert single_offsets == [0.0] and np.array_equal(single, stack[2:3])
 
 
 def test_narrowband_d_fails_off_resonance():
     # the geodesic weak pulse is narrowband on the spin-2 channel
     p = build_uzzz("D", 1.0, J)
-    (_, fid), = offset_scan(p, SYS, IDEAL, "15N", 500.0, 500.0, 100.0, _fid_metric)
-    assert fid < 0.5
+    _, (u,) = offset_scan(p, SYS, IDEAL, "15N", 500.0, 500.0, 100.0)
+    assert fidelity(u, target_trilinear("z", "z", "z", 1.0)) < 0.5
 
 
 def test_offset_scan_validation():
     p = build_uzzz("D", 1.0, J)
     with pytest.raises(ValueError):
-        offset_scan(p, SYS, IDEAL, "1H", 0.0, 100.0, 0.0, _fid_metric)
+        offset_scan(p, SYS, IDEAL, "1H", 0.0, 100.0, 0.0)
     with pytest.raises(ValueError):
-        offset_scan(p, SYS, IDEAL, "1H", 100.0, 0.0, 10.0, _fid_metric)
+        offset_scan(p, SYS, IDEAL, "1H", 100.0, 0.0, 10.0)
 
 
 def test_offset_scan_on_a_channel_no_spin_uses_names_it():
-    calls = []
     with pytest.raises(ValueError, match=r"^channel '13C': no spin is on that channel "
                                          r"\(channels \['15N', '1H'\]\)$"):
-        offset_scan(PulseProgram(), acetamide(), IDEAL, "13C", -100.0, 100.0, 100.0,
-                    lambda *args: calls.append(args))
-    assert calls == []
+        offset_scan(PulseProgram(), acetamide(), IDEAL, "13C", -100.0, 100.0, 100.0)
 
 
 @pytest.mark.parametrize("start, stop, step, message", [
@@ -266,19 +257,17 @@ def test_offset_scan_on_a_channel_no_spin_uses_names_it():
     (-1e308, 1e308, 1.0, "offset grid spans more than 10000 points"),
 ])
 def test_offset_scan_rejects_non_finite_and_oversized_grids(start, stop, step, message):
-    calls = []
-    with pytest.raises(ValueError, match=message):
-        offset_scan(PulseProgram(), SYS, IDEAL, "1H", start, stop, step,
-                    lambda *args: calls.append(args))
-    assert calls == []  # rejected before any point is evaluated
+    with mock.patch.object(engine, "propagator_stacks") as stacks, pytest.raises(ValueError, match=message):
+        offset_scan(PulseProgram(), SYS, IDEAL, "1H", start, stop, step)
+    stacks.assert_not_called()  # rejected before the engine is called
 
 
 def test_offset_scan_cap_is_inclusive():
     assert engine.MAX_GRID_POINTS == 10_000
-    curve = offset_scan(PulseProgram(), SYS, IDEAL, "1H", 0.0, 9999.0, 1.0, lambda *args: 0.0)
-    assert len(curve) == engine.MAX_GRID_POINTS
+    offsets, stack = offset_scan(PulseProgram(), SYS, IDEAL, "1H", 0.0, 9999.0, 1.0)
+    assert len(offsets) == engine.MAX_GRID_POINTS and stack.shape == (engine.MAX_GRID_POINTS, 8, 8)
     with pytest.raises(ValueError, match="more than 10000"):
-        offset_scan(PulseProgram(), SYS, IDEAL, "1H", 0.0, 10000.0, 1.0, lambda *args: 0.0)
+        offset_scan(PulseProgram(), SYS, IDEAL, "1H", 0.0, 10000.0, 1.0)
 
 
 @pytest.mark.parametrize("start, stop, step, points", [
@@ -288,10 +277,63 @@ def test_offset_scan_cap_is_inclusive():
     (-6587.9, 3102.4, 2.7, 3590),  # the last point passes stop by 1.4e-12, a rounding error
 ])
 def test_offset_scan_stays_within_the_range(start, stop, step, points):
-    curve = offset_scan(PulseProgram(), SYS, IDEAL, "1H", start, stop, step, lambda *args: 0.0)
-    offsets = [o for o, _ in curve]
-    assert len(offsets) == points and offsets[0] == start
+    offsets, stack = offset_scan(PulseProgram(), SYS, IDEAL, "1H", start, stop, step)
+    assert len(offsets) == points == len(stack) and offsets[0] == start
     assert all(o <= stop or math.isclose(o, stop, rel_tol=1e-14) for o in offsets)
+
+
+@pytest.mark.parametrize("settings", [IDEAL, REALISTIC], ids=["ideal", "realistic"])
+@pytest.mark.parametrize("channel", ["1H", "15N"])
+@pytest.mark.parametrize("points", [11, 101])  # 101 members are lowered in two member slices
+def test_offset_scan_equals_the_per_point_propagators(settings, channel, points):
+    p = build_swap13_broadband("D", 1.0, J, 8, sparse_pi=True)
+    offsets, stack = offset_scan(p, acetamide(), settings, channel, -1000.0, 1000.0, 2000.0 / (points - 1))
+    assert len(offsets) == points
+    shifted = [acetamide().shifted(channel, o) for o in offsets]
+    assert np.array_equal(stack, [propagator_of(p, s, settings) for s in shifted])
+    for u, s in zip(stack, shifted):
+        assert np.max(np.abs(u - propagator_loop(p, s, settings))) < 1e-12
+
+
+def test_a_list_of_systems_equals_one_call_per_system():
+    # each member carries every diagonal term of H0: couplings as well as offsets
+    systems = [acetamide(), SpinSystem(88.8, 85.0, 2.9, 120.0, -250.0, 410.0), SpinSystem(91.0, 86.0, 0.0)]
+    assert len({(s.j12, s.j23, s.j13) for s in systems}) == 3 and all(s.j12 != s.j23 for s in systems)
+    programs = [build_swap13_broadband(v, 0.8, J, 16, True) for v in "ACD"]
+    for settings in (IDEAL, REALISTIC):
+        for scales in ((1.0,), (0.95, 1.0, 1.05)):  # one scale broadcasts; three pair with the systems
+            stacks = list(propagator_stacks(programs, systems, settings, scales))
+            for p, stack in zip(programs, stacks):
+                for u, s, c in zip(stack, systems, np.broadcast_to(scales, len(systems))):
+                    assert np.array_equal(u, next(propagator_stacks((p,), s, settings, (c,)))[0])
+
+
+@pytest.mark.parametrize("n_sys, n_rf", [(2, 3), (3, 2), (0, 2), (4, 5)])
+def test_systems_and_scales_of_other_lengths_are_rejected_naming_both(n_sys, n_rf):
+    with pytest.raises(ValueError, match=rf"^sys and scales must broadcast to one member count, "
+                                         rf"got {n_sys} spin systems and {n_rf} rf scales$"):
+        next(propagator_stacks((PulseProgram(),), [SYS] * n_sys, REALISTIC, np.ones(n_rf)))
+
+
+def test_one_system_in_a_list_is_the_single_system_call():
+    p = build_swap13_broadband("D", 0.8, J, 16, True)
+    scales, _ = ensemble_scales(REALISTIC)
+    for settings in (IDEAL, REALISTIC):
+        assert np.array_equal(next(propagator_stacks((p,), [acetamide()], settings, scales)),
+                              next(propagator_stacks((p,), acetamide(), settings, scales)))
+
+
+def test_a_9999_point_rf_ensemble_is_lowered_in_member_slices():
+    # the 9999 members of one program are lowered 88 at a time, not all at once
+    settings = SimulationSettings(mode="realistic", rf_fwhm=0.1, rf_grid_points=9999)
+    tracemalloc.start()
+    try:
+        (_, eta), = eta_curve("D", [1.0], acetamide(), settings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(eta - 0.7901877585765935) < 1e-12  # as when the whole ensemble was one chunk
+    assert peak <= 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +429,21 @@ def test_evolve_many_matches_evolve_loop(programs, sys, settings, rho0):
     assert len(rhos) == len(programs)
     for p, rho in zip(programs, rhos):
         assert np.max(np.abs(rho - evolve_loop(rho0, p, sys, settings))) < 1e-12
+
+
+@given(st.lists(_PROGRAMS, min_size=1, max_size=3), st.lists(_SYSTEMS, min_size=1, max_size=2 * _BUDGET + 1),
+       _SETTINGS, st.data())
+def test_member_stacks_match_event_loop_per_member(programs, systems, settings, data):
+    # member m is system m at scale m (one scale broadcasts); more members than the budget are sliced
+    scales = data.draw(st.lists(st.floats(0.5, 1.5), min_size=1, max_size=1)
+                       | st.lists(st.floats(0.5, 1.5), min_size=len(systems), max_size=len(systems)))
+    with _small_chunks():
+        stacks = list(propagator_stacks(programs, systems, settings, scales))
+    assert len(stacks) == len(programs)
+    for p, stack in zip(programs, stacks):
+        assert stack.shape == (len(systems), 8, 8)
+        for u, s, c in zip(stack, systems, np.broadcast_to(scales, len(systems))):
+            assert np.max(np.abs(u - propagator_loop(p, s, settings, c))) < 1e-12
 
 
 _ONE_PULSE = st.one_of(
@@ -512,15 +569,17 @@ def test_chunks_hold_at_most_the_member_budget(monkeypatch, members, size):
     sizes = []
     real = engine._lower_chunk
 
-    def counting(chunk, *args):
-        sizes.append(len(chunk))
-        return real(chunk, *args)
+    def counting(chunk, settings, h0, rf_scales):
+        sizes.append((len(chunk), len(rf_scales)))
+        return real(chunk, settings, h0, rf_scales)
 
     monkeypatch.setattr(engine, "_lower_chunk", counting)
     programs = [PulseProgram((Delay(1e-4 * (k + 1)),)) for k in range(2 * size + 1)]
     stacks = list(propagator_stacks(programs, SYS, REALISTIC, np.ones(members)))
     assert len(stacks) == len(programs) and all(s.shape == (members, 8, 8) for s in stacks)
-    assert sizes == [size, size, 1]
+    # a program with more than 88 members is lowered in member slices of 88: 89 = 88 + 1
+    member_slices = [min(88, members - m) for m in range(0, max(1, members), 88)]
+    assert sizes == [(k, b) for k in (size, size, 1) for b in member_slices]
 
 
 def test_realistic_d_sweep_matches_per_point_evolve_loop():

@@ -376,3 +376,53 @@ def test_shared_lines_match_the_per_event_serializer(p):
     text = serialize_program(p)
     assert text == serialize_loop(p)
     assert parse_program(text).events == p.events
+
+
+@pytest.mark.parametrize("target", [1, True, np.int64(1)])
+def test_a_zrotation_target_is_stored_as_an_int(target):
+    ev = ZRotation(target, 0.5)
+    assert type(ev.target) is int and ev == ZRotation(1, 0.5)
+    assert serialize_program(PulseProgram((ev,))) == "zrot target=1 angle=28.6478897565\n"
+
+
+@pytest.mark.parametrize("target", [1.0, 2.5, "1", None])
+def test_a_zrotation_target_that_is_not_an_integer_is_named(target):
+    with pytest.raises(ValueError, match=rf"^target must be an integer spin index, got {re.escape(repr(target))}$"):
+        ZRotation(target, 0.5)
+
+
+# Every event the constructors accept, numbers given as Python or numpy scalars,
+# ints and bools included. Flips and angles are written in degrees rounded to
+# 1e-10, at most radians(5e-11) = 8.73e-13 rad off, which bounds them within
+# +/-4 pi up to float rounding; a phase within 1e-12 of x, y, -x or -y is written
+# by its name, so phases agree modulo 2 pi to 1e-12
+def _scalars(lo, hi):
+    floats = st.floats(lo, hi)
+    return floats | floats.map(np.float64) | st.integers(math.ceil(lo), math.floor(hi)) | st.booleans()
+
+
+_ANY_ANGLE = _scalars(-4 * math.pi, 4 * math.pi)
+_ANY_TARGETS = st.lists(st.sampled_from((1, 2, 3, True, np.int64(2))), min_size=1).flatmap(
+    lambda ks: st.sampled_from((ks, tuple(ks), set(ks), frozenset(ks))))
+_ANY_EVENT = st.one_of(
+    st.builds(HardPulse, _ANY_TARGETS, _ANY_ANGLE, _ANY_ANGLE),
+    st.builds(WeakPulse, _ANY_TARGETS, _scalars(0.0, 1e300), _scalars(0.0, 1e300), _ANY_ANGLE),
+    st.builds(Delay, _scalars(0.0, 1e300)),
+    st.builds(ZRotation, st.sampled_from((1, 2, 3, True, np.int64(3))), _ANY_ANGLE),
+)
+
+
+@given(st.lists(_ANY_EVENT, min_size=1, max_size=12), st.none() | _scalars(-10.0, 10.0))
+def test_every_accepted_event_round_trips_through_the_text(events, kappa):
+    parsed = parse_program(serialize_program(PulseProgram(tuple(events), kappa=kappa)))
+    back = parsed.events
+    assert parsed.kappa == kappa and len(back) == len(events)
+    for ev, got in zip(events, back):
+        assert type(got) is type(ev)
+        for name, value in vars(ev).items():
+            if name in ("flip", "angle"):
+                assert abs(getattr(got, name) - value) <= math.radians(5e-11) + 1e-14
+            elif name == "phase":
+                assert abs(math.remainder(getattr(got, name) - value, 2 * math.pi)) <= 1e-12 + 1e-14
+            else:
+                assert getattr(got, name) == value
