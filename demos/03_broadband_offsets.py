@@ -9,13 +9,11 @@ of the DANTE train toward the continuous weak pulse.
 import numpy as np
 
 from trispin import (
-    IDEAL,
     broadband_uzzz,
     build_uzzz,
     dante_discretize,
     fidelity,
     ideal_chain,
-    offset_scan,
     propagator_stacks,
     target_trilinear,
 )
@@ -38,7 +36,8 @@ for off, fp, fb in zip(offsets, f_plain, f_bb):
     print(f"{off:>8.0f}{fp:>12.6f}{fb:>14.6f}")
 
 print("\nProton-channel scan of the broadband program (+/- 1.75 kHz band):")
-offsets, stack = offset_scan(robust, sys, IDEAL, "1H", -1750.0, 1750.0, 350.0)
+offsets = [350.0 * i for i in range(-5, 6)]
+(stack,) = propagator_stacks((robust,), [sys.shifted("1H", off) for off in offsets])
 for off, f in zip(offsets, fidelity(stack, target)):
     print(f"  {off:>8.0f} Hz   fidelity {f:.9f}")
 

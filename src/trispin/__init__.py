@@ -51,7 +51,6 @@ from .engine import (
     SimulationSettings,
     ensemble_scales,
     evolve_many,
-    offset_scan,
     propagator_of,
     propagator_stacks,
     total_duration,

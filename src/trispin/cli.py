@@ -1,8 +1,8 @@
 """Command-line front end: table/curve reproduction, verification, compilation.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
-A command reports bad input by raising ValueError; main prints it as one
-stderr line and returns 2.
+A command, or the parser, reports bad input by raising ValueError; main
+prints it as one stderr line and returns 2.
 CSV output uses '.' decimals, newline-terminated rows and a stable column
 order, so identical inputs give byte-identical output.
 """
@@ -55,7 +55,7 @@ def _load_config(path: str | None) -> dict:
     ace = acetamide()
     cfg = {name: getattr(ace, name) for name in ("j12", "j23", "j13", "nu1", "nu2", "nu3")}
     cfg.update(rf_proton=IDEAL.rf_proton, rf_hetero=IDEAL.rf_hetero,
-               rf_fwhm=0.10, rf_grid=11)
+               rf_fwhm=0.10, rf_grid=IDEAL.rf_grid_points)
     if path is None:
         return cfg
     try:
@@ -223,9 +223,14 @@ def cmd_compile(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main prints it as one stderr line, not argparse's usage block
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @functools.cache  # parsing leaves the parser unchanged, so one serves every main() call
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trispin",
         description="Three-spin Ising chain pulse sequences: build, propagate, verify.",
     )
@@ -264,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)

@@ -21,7 +21,7 @@ from .spinsys import CHANNELS, HETERO, PROTON, SpinSystem, free_hamiltonian, rf_
 # FWHM of a Gaussian = 2 sqrt(2 ln 2) sigma
 _FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
-# largest inclusive_grid (offset_scan's offsets, the CLI's kappa ranges) and rf ensemble
+# largest inclusive_grid (the CLI's kappa ranges) and rf ensemble
 MAX_GRID_POINTS = 10_000
 
 _RF_FIELDS = {PROTON: "rf_proton", HETERO: "rf_hetero"}  # channel -> its SimulationSettings field
@@ -277,17 +277,3 @@ def inclusive_grid(start: float, stop: float, step: float) -> list[float]:
         raise ValueError(f"grid spans more than {MAX_GRID_POINTS} points")
     last = stop + 1e-12 * max(1.0, abs(start), abs(stop))
     return [x for x in (start + i * step for i in range(round(span) + 1)) if x <= last]
-
-
-def offset_scan(p: PulseProgram, sys: SpinSystem, settings: SimulationSettings,
-                channel: str, start: float, stop: float, step: float) -> tuple[list[float], np.ndarray]:
-    """(offsets, (N, 8, 8) stack) from one engine call: the program's propagators at the
-    nominal rf amplitude, the offsets of the channel's spins shifted by each member of
-    inclusive_grid(start, stop, step), at most MAX_GRID_POINTS values."""
-    try:
-        offsets = inclusive_grid(start, stop, step)
-    except ValueError as exc:
-        raise ValueError(f"offset {exc}") from None
-    if not offsets:
-        raise ValueError("empty offset range")
-    return offsets, next(propagator_stacks((p,), [sys.shifted(channel, o) for o in offsets], settings))

@@ -7,7 +7,7 @@ The one exception is propagator_loop/evolve_loop, the engine's former
 per-event, per-scale loop, kept as the reference for the batched engine:
 it exponentiates one 8x8 generator at a time and multiplies event by event.
 Called once per shifted spin system, it is also the per-point reference for
-the engine's member axis (offset_scan, lists of spin systems).
+the engine's member axis (lists of spin systems, as in an offset scan).
 Likewise serialize_loop is the former serializer, which formats every event
 line from scratch.
 """

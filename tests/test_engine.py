@@ -17,7 +17,6 @@ from trispin.engine import (
     ensemble_scales,
     evolve_many,
     hard_pulse_width,
-    offset_scan,
     propagator_of,
     propagator_stacks,
 )
@@ -205,6 +204,14 @@ def test_settings_default_to_the_acetamide_rf_amplitudes():
     (0.0, 1.0, math.inf, "step must be finite, got inf"),
     (0.0, 1.0, 0.0, "step must be positive"),
     (1.0, 0.0, -0.1, "step must be positive"),
+    (0.0, math.inf, 10.0, "stop must be finite, got inf"),
+    (-math.inf, 0.0, 10.0, "start must be finite, got -inf"),
+    (math.nan, 0.0, 10.0, "start must be finite, got nan"),
+    (0.0, 100.0, math.nan, "step must be finite, got nan"),
+    (0.0, 100.0, math.inf, "step must be finite, got inf"),
+    (0.0, 1.0, 1e-5, "grid spans more than 10000 points"),
+    (0.0, 1.0, 1e-320, "grid spans more than 10000 points"),
+    (-1e308, 1e308, 1.0, "grid spans more than 10000 points"),  # rejected before a point is built
 ])
 def test_inclusive_grid_rejects_bad_bounds_naming_the_field(start, stop, step, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -213,61 +220,15 @@ def test_inclusive_grid_rejects_bad_bounds_naming_the_field(start, stop, step, m
 
 def test_inclusive_grid_is_empty_when_stop_precedes_start():
     assert engine.inclusive_grid(1.0, 0.5, 0.1) == []
+    assert engine.inclusive_grid(100.0, 0.0, 10.0) == []
     assert engine.inclusive_grid(1.0, 1.0, 0.1) == [1.0]
 
 
-def test_offset_scan_grid_and_nominal_point():
-    p = build_uzzz("D", 1.0, J)
-    offsets, stack = offset_scan(p, SYS, IDEAL, "1H", -100.0, 100.0, 50.0)
-    assert offsets == [-100.0, -50.0, 0.0, 50.0, 100.0] and stack.shape == (5, 8, 8)
-    assert np.array_equal(stack[2], propagator_of(p, SYS, IDEAL))
-    single_offsets, single = offset_scan(p, SYS, IDEAL, "1H", 0.0, 0.0, 10.0)
-    assert single_offsets == [0.0] and np.array_equal(single, stack[2:3])
-
-
-def test_narrowband_d_fails_off_resonance():
-    # the geodesic weak pulse is narrowband on the spin-2 channel
-    p = build_uzzz("D", 1.0, J)
-    _, (u,) = offset_scan(p, SYS, IDEAL, "15N", 500.0, 500.0, 100.0)
-    assert fidelity(u, target_trilinear("z", "z", "z", 1.0)) < 0.5
-
-
-def test_offset_scan_validation():
-    p = build_uzzz("D", 1.0, J)
-    with pytest.raises(ValueError):
-        offset_scan(p, SYS, IDEAL, "1H", 0.0, 100.0, 0.0)
-    with pytest.raises(ValueError):
-        offset_scan(p, SYS, IDEAL, "1H", 100.0, 0.0, 10.0)
-
-
-def test_offset_scan_on_a_channel_no_spin_uses_names_it():
-    with pytest.raises(ValueError, match=r"^channel '13C': no spin is on that channel "
-                                         r"\(channels \['15N', '1H'\]\)$"):
-        offset_scan(PulseProgram(), acetamide(), IDEAL, "13C", -100.0, 100.0, 100.0)
-
-
-@pytest.mark.parametrize("start, stop, step, message", [
-    (0.0, math.inf, 10.0, "offset stop must be finite, got inf"),
-    (-math.inf, 0.0, 10.0, "offset start must be finite, got -inf"),
-    (math.nan, 0.0, 10.0, "offset start must be finite, got nan"),
-    (0.0, 100.0, math.nan, "offset step must be finite, got nan"),
-    (0.0, 100.0, math.inf, "offset step must be finite, got inf"),
-    (0.0, 1.0, 1e-5, "offset grid spans more than 10000 points"),
-    (0.0, 1.0, 1e-320, "offset grid spans more than 10000 points"),
-    (-1e308, 1e308, 1.0, "offset grid spans more than 10000 points"),
-])
-def test_offset_scan_rejects_non_finite_and_oversized_grids(start, stop, step, message):
-    with mock.patch.object(engine, "propagator_stacks") as stacks, pytest.raises(ValueError, match=message):
-        offset_scan(PulseProgram(), SYS, IDEAL, "1H", start, stop, step)
-    stacks.assert_not_called()  # rejected before the engine is called
-
-
-def test_offset_scan_cap_is_inclusive():
+def test_inclusive_grid_cap_is_inclusive():
     assert engine.MAX_GRID_POINTS == 10_000
-    offsets, stack = offset_scan(PulseProgram(), SYS, IDEAL, "1H", 0.0, 9999.0, 1.0)
-    assert len(offsets) == engine.MAX_GRID_POINTS and stack.shape == (engine.MAX_GRID_POINTS, 8, 8)
+    assert len(engine.inclusive_grid(0.0, 9999.0, 1.0)) == engine.MAX_GRID_POINTS
     with pytest.raises(ValueError, match="more than 10000"):
-        offset_scan(PulseProgram(), SYS, IDEAL, "1H", 0.0, 10000.0, 1.0)
+        engine.inclusive_grid(0.0, 10000.0, 1.0)
 
 
 @pytest.mark.parametrize("start, stop, step, points", [
@@ -276,10 +237,26 @@ def test_offset_scan_cap_is_inclusive():
     (-1750.0, 1750.0, 350.0, 11),
     (-6587.9, 3102.4, 2.7, 3590),  # the last point passes stop by 1.4e-12, a rounding error
 ])
-def test_offset_scan_stays_within_the_range(start, stop, step, points):
-    offsets, stack = offset_scan(PulseProgram(), SYS, IDEAL, "1H", start, stop, step)
-    assert len(offsets) == points == len(stack) and offsets[0] == start
-    assert all(o <= stop or math.isclose(o, stop, rel_tol=1e-14) for o in offsets)
+def test_inclusive_grid_stays_within_the_range(start, stop, step, points):
+    grid = engine.inclusive_grid(start, stop, step)
+    assert len(grid) == points and grid[0] == start
+    assert all(x <= stop or math.isclose(x, stop, rel_tol=1e-14) for x in grid)
+
+
+def test_offset_scan_grid_and_nominal_point():
+    # an offset scan is one propagator_stacks call, a shifted system per member
+    p = build_uzzz("D", 1.0, J)
+    offsets = [-100.0, -50.0, 0.0, 50.0, 100.0]
+    (stack,) = propagator_stacks((p,), [SYS.shifted("1H", o) for o in offsets])
+    assert stack.shape == (5, 8, 8)
+    assert np.array_equal(stack[2], propagator_of(p, SYS, IDEAL))
+
+
+def test_narrowband_d_fails_off_resonance():
+    # the geodesic weak pulse is narrowband on the spin-2 channel
+    p = build_uzzz("D", 1.0, J)
+    u = propagator_of(p, SYS.shifted("15N", 500.0), IDEAL)
+    assert fidelity(u, target_trilinear("z", "z", "z", 1.0)) < 0.5
 
 
 @pytest.mark.parametrize("settings", [IDEAL, REALISTIC], ids=["ideal", "realistic"])
@@ -287,9 +264,10 @@ def test_offset_scan_stays_within_the_range(start, stop, step, points):
 @pytest.mark.parametrize("points", [11, 101])  # 101 members are lowered in two member slices
 def test_offset_scan_equals_the_per_point_propagators(settings, channel, points):
     p = build_swap13_broadband("D", 1.0, J, 8, sparse_pi=True)
-    offsets, stack = offset_scan(p, acetamide(), settings, channel, -1000.0, 1000.0, 2000.0 / (points - 1))
-    assert len(offsets) == points
+    offsets = [2000.0 * i / (points - 1) - 1000.0 for i in range(points)]
     shifted = [acetamide().shifted(channel, o) for o in offsets]
+    (stack,) = propagator_stacks((p,), shifted, settings)
+    assert len(stack) == points
     assert np.array_equal(stack, [propagator_of(p, s, settings) for s in shifted])
     for u, s in zip(stack, shifted):
         assert np.max(np.abs(u - propagator_loop(p, s, settings))) < 1e-12

@@ -8,7 +8,7 @@ PUBLIC = [
     "dante_discretize", "default_dante_n", "duration_scaling", "eliminate_z_rotations",
     "emulate_selective_pulse", "engine", "ensemble_scales", "eta_curve", "evolve_many",
     "expm_generator", "fidelity", "fig2_tables", "free_hamiltonian", "hermiticity_defect",
-    "ideal_chain", "join", "linalg", "metrics", "offset_scan", "parse_program", "propagator_of",
+    "ideal_chain", "join", "linalg", "metrics", "parse_program", "propagator_of",
     "propagator_stacks", "pulseprog", "receiver_phases", "refocus_offsets", "rf_hamiltonian",
     "sequences", "serialize_program", "spin_operator", "spinsys", "swap13_target",
     "swap_duration_bookkeeping", "target_trilinear", "theoretical_limit", "total_duration",

@@ -128,6 +128,12 @@ def test_system_helpers():
         sys.shifted("1H", float("inf"))
 
 
+def test_shifting_a_channel_no_spin_is_on_names_it():
+    with pytest.raises(ValueError, match=r"^channel '13C': no spin is on that channel "
+                                         r"\(channels \['15N', '1H'\]\)$"):
+        acetamide().shifted("13C", 100.0)
+
+
 @pytest.mark.parametrize("name", ["j12", "nu3"])
 def test_a_value_whose_angular_frequency_overflows_is_rejected_by_name(name):
     with pytest.raises(ValueError, match=rf"^{name} must be finite, got 1e\+308 \(2 pi {name} overflows\)$"):
