@@ -11,16 +11,16 @@ Text format, one event per line, '#' starts a comment:
     delay <time>
     zrot target=<k> angle=<deg>
 
-Time literals: <float><us|ms|s>. The serializer emits this exact shape
-deterministically. Program metadata travels through '# label:', '# kappa:'
-and '# meta' comment directives, which the parser reads back; other comments
+The grammar is one table, read by both the serializer and the parser: each
+key's parser and formatter (_KEYS), and each keyword's event type and keys
+(_KEYWORDS). The serializer's output is deterministic. '# label:', '# kappa:'
+and '# meta' comment directives carry the program's metadata; other comments
 are ignored.
 """
 from __future__ import annotations
 
 import math
 import operator
-import re
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -102,6 +102,11 @@ class ZRotation:
     __post_init__ = _validate_event
 
 
+def _one_line(text) -> bool:
+    """Whether text is a str with no character that str.splitlines breaks at."""
+    return isinstance(text, str) and (text.isprintable() or "".join(text.splitlines()) == text)
+
+
 @dataclass(frozen=True)
 class PulseProgram:
     events: tuple = ()
@@ -118,6 +123,15 @@ class PulseProgram:
             if not math.isfinite(self.kappa):
                 raise ValueError(f"kappa must be finite, got {self.kappa!r}")
             object.__setattr__(self, "kappa", float(self.kappa))  # a float, as the event fields
+        # the text writes the label and each meta entry on a line of its own, strips
+        # each line, and splits a meta entry at its first '='
+        if not (_one_line(self.label) and self.label == self.label.strip()):
+            raise ValueError(f"label must be a str on one line with no outer whitespace, got {self.label!r}")
+        for entry in self.meta:
+            if not (isinstance(entry, tuple) and len(entry) == 2 and _one_line(entry[0]) and "=" not in entry[0]
+                    and _one_line(entry[1]) and entry[1] == entry[1].rstrip()):
+                raise ValueError("meta entries must be (key, value) strs on one line, with no '=' in the key "
+                                 f"and no trailing whitespace in the value, got {entry!r}")
 
     @property
     def nominal_duration(self) -> float:
@@ -144,128 +158,10 @@ class ProgramSyntaxError(ValueError):
         self.line = line
 
 
-_UNIT_RE = {"time": re.compile(r"^([-+]?[0-9.eE+-]+?)(us|ms|s)$"),
-            "frequency": re.compile(r"^([-+]?[0-9.eE+-]+?)(kHz|Hz)?$")}
-_UNIT_SCALE = {"us": 1e-6, "ms": 1e-3, "s": 1.0, "kHz": 1e3, "Hz": 1.0, None: 1.0}
-
 _PHASE_NAMES = {"x": 0.0, "y": math.pi / 2, "-x": math.pi, "-y": 1.5 * math.pi}
-
-
-def _parse_unit(tok: str, kind: str, line: int) -> float:
-    """A 'time' or 'frequency' literal <float><unit>, in s or Hz."""
-    m = _UNIT_RE[kind].match(tok)
-    try:
-        return float(m[1]) * _UNIT_SCALE[m[2]]
-    except (TypeError, ValueError):  # TypeError: no match
-        raise ProgramSyntaxError(f"bad {kind} literal {tok!r}", line) from None
-
-
-def _parse_phase(tok: str, line: int) -> float:
-    if tok in _PHASE_NAMES:
-        return _PHASE_NAMES[tok]
-    try:
-        return math.radians(float(tok))
-    except ValueError:
-        raise ProgramSyntaxError(f"bad phase {tok!r}", line) from None
-
-
-def _parse_targets(tok: str, line: int) -> frozenset:
-    try:
-        return frozenset(int(s) for s in tok.split(","))
-    except ValueError:
-        raise ProgramSyntaxError(f"bad target list {tok!r}", line) from None
-
-
-def _fields(tokens, allowed, line):
-    out = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise ProgramSyntaxError(f"expected key=value, got {tok!r}", line)
-        key, _, val = tok.partition("=")
-        if key not in allowed:
-            raise ProgramSyntaxError(f"unknown field {key!r}", line)
-        out[key] = val
-    missing = set(allowed) - set(out)
-    if missing:
-        raise ProgramSyntaxError(f"missing field(s) {sorted(missing)}", line)
-    return out
-
-
-def parse_program(text: str) -> PulseProgram:
-    events = []
-    label = ""
-    kappa = None
-    meta = []
-    # raw line -> its event, for this call only: a program repeats few distinct
-    # lines, and only a line that parsed is stored, so each bad line still raises
-    parsed = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        ev = parsed.get(raw)
-        if ev is not None:
-            events.append(ev)
-            continue
-        comment = raw.strip()
-        # metadata directives round-trip through comments; other comments
-        # are ignored
-        if comment.startswith("# label:"):
-            label = comment[len("# label:"):].strip()
-            continue
-        if comment.startswith("# kappa:"):
-            try:
-                kappa = float(comment[len("# kappa:"):].strip())
-                if not math.isfinite(kappa):
-                    raise ValueError
-            except ValueError:
-                raise ProgramSyntaxError("bad kappa value", lineno) from None
-            continue
-        if comment.startswith("# meta "):
-            key, _, value = comment[len("# meta "):].partition("=")
-            meta.append((key, value))
-            continue
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        kind, args = tokens[0], tokens[1:]
-        # only syntax is checked here: the event constructors judge the values
-        # (finite, known spins, no negative duration), and a try block costs
-        # nothing until it catches and adds the line number
-        try:
-            if kind == "pulse":
-                f = _fields(args, ("targets", "angle", "phase"), lineno)
-                try:
-                    flip = math.radians(float(f["angle"]))
-                except ValueError:
-                    raise ProgramSyntaxError(f"bad angle {f['angle']!r}", lineno) from None
-                ev = HardPulse(_parse_targets(f["targets"], lineno), flip,
-                               _parse_phase(f["phase"], lineno))
-            elif kind == "wpulse":
-                f = _fields(args, ("targets", "amp", "dur", "phase"), lineno)
-                ev = WeakPulse(_parse_targets(f["targets"], lineno),
-                               _parse_unit(f["amp"], "frequency", lineno),
-                               _parse_unit(f["dur"], "time", lineno),
-                               _parse_phase(f["phase"], lineno))
-            elif kind == "delay":
-                if len(args) != 1:
-                    raise ProgramSyntaxError("delay takes exactly one time argument", lineno)
-                ev = Delay(_parse_unit(args[0], "time", lineno))
-            elif kind == "zrot":
-                f = _fields(args, ("target", "angle"), lineno)
-                try:
-                    target = int(f["target"])
-                    angle = math.radians(float(f["angle"]))
-                except ValueError:
-                    raise ProgramSyntaxError(f"bad zrot arguments {args!r}", lineno) from None
-                ev = ZRotation(target, angle)
-            else:
-                raise ProgramSyntaxError(f"unknown event {kind!r}", lineno)
-        except ProgramSyntaxError:
-            raise
-        except ValueError as exc:
-            raise ProgramSyntaxError(str(exc), lineno) from None
-        parsed[raw] = ev
-        events.append(ev)
-    return PulseProgram(tuple(events), label=label, kappa=kappa, meta=tuple(meta))
+_NUMBER_CHARS = frozenset("0123456789.eE+-")
+_SECONDS = {"us": 1e-6, "ms": 1e-3, "s": 1.0}
+_HERTZ = {"kHz": 1e3, "Hz": 1.0, "": 1.0}  # a frequency without a unit is in Hz
 
 
 def _fmt_deg(rad: float) -> str:
@@ -274,7 +170,7 @@ def _fmt_deg(rad: float) -> str:
 
 def _fmt_phase(rad: float) -> str:
     for name, value in _PHASE_NAMES.items():
-        if abs((rad - value) % TWO_PI) < 1e-12 or abs((rad - value) % TWO_PI - TWO_PI) < 1e-12:
+        if abs(turn := (rad - value) % TWO_PI) < 1e-12 or abs(turn - TWO_PI) < 1e-12:
             return name
     return _fmt_deg(rad)
 
@@ -283,29 +179,113 @@ def _fmt_targets(targets) -> str:
     return ",".join(str(k) for k in sorted(targets))
 
 
+def _literal(tok: str, units: dict) -> float:
+    """<number><unit> in base units; units maps each accepted suffix to its scale."""
+    number = tok.rstrip("usmkHz")  # the unit letters, none of them a number character
+    if tok[len(number):] not in units or not _NUMBER_CHARS.issuperset(number):
+        raise ValueError(tok)
+    return float(number) * units[tok[len(number):]]
+
+
+# The grammar. Each text key: the name its error uses, its parser (text -> the
+# value an event stores) and its formatter (the inverse)
+_KEYS = {
+    "targets": ("target list", lambda tok: frozenset(map(int, tok.split(","))), _fmt_targets),
+    "target": ("target", int, str),
+    "angle": ("angle", lambda tok: math.radians(float(tok)), _fmt_deg),
+    "phase": ("phase", lambda tok: _PHASE_NAMES[tok] if tok in _PHASE_NAMES else math.radians(float(tok)),
+              _fmt_phase),
+    "amp": ("frequency literal", lambda tok: _literal(tok, _HERTZ), "{!r}Hz".format),
+    "dur": ("time literal", lambda tok: _literal(tok, _SECONDS), "{!r}s".format),
+}
+# Each keyword: its event type and its keys, in the order of that type's fields.
+# delay writes its one value without its key: delay <time>
+_KEYWORDS = {
+    "pulse": (HardPulse, ("targets", "angle", "phase")),
+    "wpulse": (WeakPulse, ("targets", "amp", "dur", "phase")),
+    "delay": (Delay, ("dur",)),
+    "zrot": (ZRotation, ("target", "angle")),
+}
+# event type -> its line template and the formatter of each of its fields
+_WRITERS = {cls: (" ".join([keyword, *("%s" if keyword == "delay" else key + "=%s" for key in keys)]),
+                  [_KEYS[key][2] for key in keys]) for keyword, (cls, keys) in _KEYWORDS.items()}
+
+
+def _fields(tokens, keys) -> list:
+    """The values of key=value tokens that give exactly these keys, in key order."""
+    out = {}
+    for tok in tokens:
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise ValueError(f"expected key=value, got {tok!r}")
+        if key not in keys:
+            raise ValueError(f"unknown field {key!r}")
+        out[key] = value
+    if len(out) != len(keys):
+        raise ValueError(f"missing field(s) {sorted(set(keys) - set(out))}")
+    return [_value(key, out[key]) for key in keys]
+
+
+def _value(key: str, tok: str):
+    name, parse, _ = _KEYS[key]
+    try:
+        return parse(tok)
+    except ValueError:
+        raise ValueError(f"bad {name} {tok!r}") from None
+
+
+def parse_program(text: str) -> PulseProgram:
+    events, meta, label, kappa = [], [], "", None
+    # raw line -> its event, for this call only: a program repeats few distinct
+    # lines, and only a line that parsed is stored, so each bad line still raises
+    parsed = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        ev = parsed.get(raw)
+        if ev is not None:
+            events.append(ev)
+            continue
+        comment = raw.strip()  # directives carry the metadata; other comments are ignored
+        # a syntax error and an error of the event constructors (finite values,
+        # known spins, no negative duration) are both a ValueError; this one
+        # handler adds the line number, and costs nothing until it catches
+        try:
+            if comment.startswith("# label:"):
+                label = comment[len("# label:"):].strip()
+            elif comment.startswith("# kappa:"):
+                if not math.isfinite(kappa := float(comment[len("# kappa:"):])):
+                    raise ValueError
+            elif comment.startswith("# meta "):
+                key, _, value = comment[len("# meta "):].partition("=")
+                meta.append((key, value))
+            elif line := raw.split("#", 1)[0].strip():
+                kind, *args = line.split()
+                if kind not in _KEYWORDS:
+                    raise ValueError(f"unknown event {kind!r}")
+                cls, keys = _KEYWORDS[kind]
+                if kind == "delay":  # its one value, written without its key
+                    if len(args) != 1:
+                        raise ValueError("delay takes exactly one time argument")
+                    args = ["dur=" + args[0]]
+                ev = parsed[raw] = cls(*_fields(args, keys))
+                events.append(ev)
+        except ValueError as exc:
+            message = "bad kappa value" if comment.startswith("# kappa:") else str(exc)
+            raise ProgramSyntaxError(message, lineno) from None
+    return PulseProgram(tuple(events), label=label, kappa=kappa, meta=tuple(meta))
+
+
 def _event_line(ev) -> str:
-    if isinstance(ev, HardPulse):
-        return (f"pulse targets={_fmt_targets(ev.targets)} "
-                f"angle={_fmt_deg(ev.flip)} phase={_fmt_phase(ev.phase)}")
-    if isinstance(ev, WeakPulse):
-        return (f"wpulse targets={_fmt_targets(ev.targets)} "
-                f"amp={repr(ev.amplitude)}Hz dur={repr(ev.duration)}s "
-                f"phase={_fmt_phase(ev.phase)}")
-    if isinstance(ev, Delay):
-        return f"delay {repr(ev.duration)}s"
-    if isinstance(ev, ZRotation):
-        return f"zrot target={ev.target} angle={_fmt_deg(ev.angle)}"
-    raise TypeError(f"unknown event type {type(ev).__name__}")
+    if type(ev) not in _WRITERS:
+        raise TypeError(f"unknown event type {type(ev).__name__}")
+    template, formats = _WRITERS[type(ev)]
+    return template % tuple([fmt(value) for fmt, value in zip(formats, vars(ev).values())])
 
 
 def serialize_program(p: PulseProgram) -> str:
-    lines = []
-    if p.label:
-        lines.append(f"# label: {p.label}")
+    lines = [f"# label: {p.label}"] if p.label else []
     if p.kappa is not None:
         lines.append(f"# kappa: {repr(p.kappa)}")
-    for key, value in p.meta:
-        lines.append(f"# meta {key}={value}")
+    lines += [f"# meta {key}={value}" for key, value in p.meta]
     # built and parsed programs repeat event objects, so each distinct object is
     # formatted once. Keyed by identity, not by value: events that compare equal
     # across signed zeros, ZRotation(2, -0.0) == ZRotation(2, 0.0), print differently

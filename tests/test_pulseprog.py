@@ -1,11 +1,11 @@
 import hashlib
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oracles import serialize_loop
 from trispin import pulseprog
@@ -147,6 +147,24 @@ def test_metadata_round_trips():
     assert q.meta == p.meta
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"label": "a\ndelay 1s"}, "label"),  # would parse back with an extra Delay(1.0)
+    ({"label": "a\u2028b"}, "label"),  # str.splitlines breaks at more than \n
+    ({"label": " padded "}, "label"),  # would parse back stripped
+    ({"label": None}, "label"),
+    ({"meta": (("a=b", "c"),)}, "meta"),  # would parse back as ("a", "b=c")
+    ({"meta": (("k", "v\n# label: evil"),)}, "meta"),  # would set the parsed label
+    ({"meta": (("k", "v "),)}, "meta"),
+    ({"meta": (("k\rx", "v"),)}, "meta"),
+    ({"meta": (("k", 1.0),)}, "meta"),
+    ({"meta": (("k",),)}, "meta"),
+], ids=["label-newline", "label-line-separator", "label-padded", "label-none", "meta-key-equals",
+        "meta-value-newline", "meta-value-trailing-space", "meta-key-return", "meta-value-float", "meta-one-item"])
+def test_label_and_meta_the_text_cannot_carry_are_rejected(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        PulseProgram((Delay(1e-3),), **kwargs)
+
+
 def test_nominal_duration_and_join():
     p = build_uzzz("B", 1.0, 88.0)
     assert p.nominal_duration == pytest.approx(1.0 / 88.0)
@@ -217,7 +235,16 @@ def test_total_duration_realistic_adds_pulse_widths():
     ("pulse targets=1,a angle=90 phase=x", "bad target list '1,a'"),
     ("pulse targets=1 angle=90 x", "expected key=value, got 'x'"),
     ("pulse targets=1 angle=90 phase=x width=2", "unknown field 'width'"),
-    ("zrot target=a angle=90", "bad zrot arguments ['target=a', 'angle=90']"),
+    ("zrot target=a angle=90", "bad target 'a'"),
+    ("delay 5", "bad time literal '5'"),
+    ("delay 1_0s", "bad time literal '1_0s'"),
+    ("delay infs", "bad time literal 'infs'"),
+    ("wpulse targets=2 amp=5GHz dur=1ms phase=x", "bad frequency literal '5GHz'"),
+    ("pulse targets=1 angle=abc phase=x", "bad angle 'abc'"),
+    ("pulse targets=1 angle=90", "missing field(s) ['phase']"),
+    ("nop 1", "unknown event 'nop'"),
+    ("zrot target=1 angle=x", "bad angle 'x'"),
+    ("# kappa: abc", "bad kappa value"),
 ])
 def test_event_validator_errors_carry_line_number(bad, message):
     with pytest.raises(ProgramSyntaxError, match=f"^line 2: {re.escape(message)}$") as err:
@@ -251,6 +278,40 @@ def test_parse_serialize_is_idempotent(p):
     assert serialize_program(q) == text
     assert (q.label, q.kappa, q.meta) == (p.label, p.kappa, p.meta)
     assert [type(ev) for ev in q.events] == [type(ev) for ev in p.events]
+
+
+# each event type's text keys, in order, and the dataclass field each one writes
+_KEY_FIELDS = {
+    HardPulse: {"targets": "targets", "angle": "flip", "phase": "phase"},
+    WeakPulse: {"targets": "targets", "amp": "amplitude", "dur": "duration", "phase": "phase"},
+    Delay: {"dur": "duration"},
+    ZRotation: {"target": "target", "angle": "angle"},
+}
+
+
+@pytest.mark.parametrize("cls", list(_KEY_FIELDS), ids=lambda cls: cls.__name__)
+def test_each_event_type_has_one_text_key_per_field_in_order(cls):
+    ((keyword, keys),) = [(kw, keys) for kw, (c, keys) in pulseprog._KEYWORDS.items() if c is cls]
+    assert list(keys) == list(_KEY_FIELDS[cls])
+    assert list(_KEY_FIELDS[cls].values()) == [f.name for f in fields(cls)]
+    assert set(keys) <= set(pulseprog._KEYS)
+    # each key carries its own field through the text: a distinct value per field,
+    # whole degrees so that angles survive exactly
+    values = {f.name: math.radians(10 * (i + 1)) for i, f in enumerate(fields(cls))}
+    ev = cls(**{**values, **{k: v for k, v in {"targets": {1, 3}, "target": 3}.items() if k in values}})
+    text = serialize_program(PulseProgram((ev,)))
+    assert text.split()[0] == keyword
+    assert parse_program(text).events == (ev,)
+
+
+def test_grammar_table_covers_exactly_the_event_types():
+    assert {cls for cls, _ in pulseprog._KEYWORDS.values()} == set(_KEY_FIELDS)
+
+
+@pytest.mark.parametrize("ev", [object(), "delay 1ms", PulseProgram()], ids=["object", "str", "program"])
+def test_serializing_a_non_event_raises_type_error(ev):
+    with pytest.raises(TypeError, match=f"^unknown event type {type(ev).__name__}$"):
+        serialize_program(PulseProgram((ev,)))
 
 
 def _builder_outputs():
@@ -376,6 +437,24 @@ def test_shared_lines_match_the_per_event_serializer(p):
     text = serialize_program(p)
     assert text == serialize_loop(p)
     assert parse_program(text).events == p.events
+
+
+# any text, drawn often from the characters the text format gives a meaning:
+# whitespace, line breaks, '=' and '#'
+_TEXT = st.text(st.sampled_from(" \t\n\r\x85\u2028=#a") | st.characters(), max_size=5)
+
+
+@settings(max_examples=300)
+@given(st.lists(_POOL_EVENT, max_size=6), _TEXT, st.none() | st.floats(allow_nan=False, allow_infinity=False),
+       st.lists(st.tuples(_TEXT, _TEXT), max_size=3))
+def test_every_accepted_program_parses_back_equal(events, label, kappa, meta):
+    try:
+        p = PulseProgram(tuple(events), label, kappa, tuple(meta))
+    except ValueError as exc:  # only a label or meta the text cannot carry is refused
+        assert str(exc).startswith(("label ", "meta "))
+        return
+    q = parse_program(serialize_program(p))
+    assert q == p and (q.label, q.kappa, q.meta) == (p.label, p.kappa, p.meta)
 
 
 @pytest.mark.parametrize("target", [1, True, np.int64(1)])
