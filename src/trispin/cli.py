@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import broadband, metrics, sequences
-from .engine import IDEAL, SimulationSettings, inclusive_grid, propagator_stacks
+from .engine import IDEAL, MAX_GRID_POINTS, SimulationSettings, propagator_stacks
 from .pulseprog import parse_program, serialize_program
 from .spinsys import SpinSystem, acetamide, ideal_chain, target_trilinear, swap13_target, spin_operator
 from .linalg import expm_generator
@@ -33,16 +33,29 @@ def _fmt(x: float) -> str:
 
 
 def _parse_range(text: str, check=None):
-    """kappa range 'start:stop[:step]' -> nonempty list of grid values, passed
-    whole to check, the domain check of the command that reads them."""
+    """kappa range 'start:stop[:step]' (step 0.1) -> the grid start + i * step up to stop,
+    rounded to 12 decimals and passed whole to check, the reading command's domain check.
+    A point past stop by rounding only, 1e-12 * max(1, |start|, |stop|), is kept, so a grid
+    that reaches stop ends there. Finite bounds and step, step > 0, stop >= start and at
+    most MAX_GRID_POINTS points, counted before the grid is built, or a ValueError."""
     parts = text.split(":")
     try:
         if len(parts) not in (2, 3):
             raise ValueError("expected start:stop[:step]")
         step = float(parts[2]) if len(parts) == 3 else 0.1
-        kappas = [round(k, 12) for k in inclusive_grid(float(parts[0]), float(parts[1]), step)]
-        if not kappas:
+        start, stop = float(parts[0]), float(parts[1])
+        for name, value in (("start", start), ("stop", stop), ("step", step)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if step <= 0:
+            raise ValueError("step must be positive")
+        if stop < start:
             raise ValueError("empty range")
+        span = (stop - start) / step  # round(span) + 1 points at most; inf for a tiny step
+        if span > MAX_GRID_POINTS or round(span) >= MAX_GRID_POINTS:
+            raise ValueError(f"grid spans more than {MAX_GRID_POINTS} points")
+        last = stop + 1e-12 * max(1.0, abs(start), abs(stop))
+        kappas = [round(x, 12) for x in (start + i * step for i in range(round(span) + 1)) if x <= last]
         if check:
             check(kappas)
         return kappas
@@ -122,7 +135,7 @@ def cmd_eta_sweep(args) -> int:
     settings = SimulationSettings(
         mode=args.mode,
         rf_proton=cfg["rf_proton"], rf_hetero=cfg["rf_hetero"],
-        rf_fwhm=cfg["rf_fwhm"] if args.mode == "realistic" else 0.0,
+        rf_fwhm=cfg["rf_fwhm"],
         rf_grid_points=int(cfg["rf_grid"]),
     )
     kappas = _parse_range(args.kappa, sequences._check_kappa)

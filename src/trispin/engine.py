@@ -16,12 +16,12 @@ import numpy as np
 
 from .linalg import eigh_hermitian, expm_eigh, hermiticity_defect, unitarity_defect
 from .pulseprog import TWO_PI, Delay, HardPulse, PulseProgram, WeakPulse, ZRotation
-from .spinsys import CHANNELS, HETERO, PROTON, SpinSystem, free_hamiltonian, rf_hamiltonian, spin_operator
+from .spinsys import CHANNELS, HETERO, IZ_DIAG, PROTON, SpinSystem, free_hamiltonian, rf_hamiltonian
 
 # FWHM of a Gaussian = 2 sqrt(2 ln 2) sigma
 _FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
-# largest inclusive_grid (the CLI's kappa ranges) and rf ensemble
+# the cap of cli._parse_range's --kappa grid, rf_grid_points and broadband._check_segments's DANTE n
 MAX_GRID_POINTS = 10_000
 
 _RF_FIELDS = {PROTON: "rf_proton", HETERO: "rf_hetero"}  # channel -> its SimulationSettings field
@@ -47,14 +47,13 @@ class SimulationSettings:
     def __post_init__(self):
         if self.mode not in ("ideal", "realistic"):
             raise ValueError(f"mode must be 'ideal' or 'realistic', got {self.mode!r}")
-        # the engine exponentiates every pulse of a program in one batch, so
-        # a NaN here would only surface as a LinAlgError from eigh
+        # in both modes: a finite pulse's width divides by them, and a NaN would fail the batched eigh
         for name in _RF_FIELDS.values():
             amp = getattr(self, name)
             if not math.isfinite(amp):
                 raise ValueError(f"{name} must be finite, got {amp!r}")
-            if self.mode == "realistic" and amp <= 0:
-                raise ValueError(f"{name} must be positive in realistic mode, got {amp!r}")
+            if amp <= 0:
+                raise ValueError(f"{name} must be positive, got {amp!r}")
         if not 0.0 <= self.rf_fwhm < 1.0:
             raise ValueError("rf_fwhm must be in [0, 1)")
         if not isinstance(self.rf_grid_points, Integral):
@@ -70,11 +69,7 @@ IDEAL = SimulationSettings()
 def _pulse_amplitude(ev: HardPulse, settings: SimulationSettings) -> float:
     """rf amplitude (Hz) of a finite hard pulse: that of the slowest rf channel
     it touches, to which a simultaneous multi-channel pulse is stretched."""
-    amps = {name: getattr(settings, name) for name in {_RF_FIELDS[CHANNELS[k]] for k in ev.targets}}
-    for name, amp in amps.items():
-        if amp <= 0:
-            raise ValueError(f"{name} must be positive for a finite pulse, got {amp!r}")
-    return min(amps.values())
+    return min(getattr(settings, _RF_FIELDS[CHANNELS[k]]) for k in ev.targets)
 
 
 def hard_pulse_width(ev: HardPulse, settings: SimulationSettings) -> float:
@@ -93,23 +88,23 @@ def total_duration(p: PulseProgram, settings: SimulationSettings = IDEAL) -> flo
                p.nominal_duration)
 
 
-_IZ = {k: np.diag(spin_operator(k, "z")).real for k in (1, 2, 3)}
-_FZ = sum(_IZ.values())  # diagonal of R = I1z + I2z + I3z
+_FZ = sum(IZ_DIAG.values())  # diagonal of R = I1z + I2z + I3z
 # R turns the rf axis and commutes with a diagonal H0, and a pulse conserves the Iz of
 # each spin it leaves alone. So a pulse at phase phi is exp(-i phi R) U(0) exp(i phi R):
 # its phase-0 propagator times exp(-i phi _SPREAD), entrywise
 _SPREAD = _FZ[:, None] - _FZ
+_DIAGONAL = np.eye(8, dtype=bool)  # where np.where places a diagonal; its zeros are +0.0, as np.diag's
 
 
-def _lower(ev, settings: SimulationSettings, h0_diag: np.ndarray):
+def _lower(ev, settings: SimulationSettings, h0: np.ndarray):
     """A Delay, a ZRotation or a zero-width pulse as its (S, 8) diagonal phase
     angles, one row per spin system; any other pulse as its generator key (weight
     of H0, targets, rf amplitude at unit scale), its time and its rf phase. A
     negative flip is lowered as the positive flip at phase + pi."""
     if isinstance(ev, Delay):
-        return h0_diag * ev.duration
+        return h0 * ev.duration
     if isinstance(ev, ZRotation):
-        return np.broadcast_to(ev.angle * _IZ[ev.target], h0_diag.shape)
+        return np.broadcast_to(ev.angle * IZ_DIAG[ev.target], h0.shape)
     if isinstance(ev, WeakPulse):
         return (1.0, ev.targets, ev.amplitude), ev.duration, ev.phase
     if not isinstance(ev, HardPulse):
@@ -122,7 +117,7 @@ def _lower(ev, settings: SimulationSettings, h0_diag: np.ndarray):
     # amplitude, not the programmed duration.
     width = hard_pulse_width(ev, settings)
     if width == 0.0:
-        return np.zeros(h0_diag.shape)
+        return np.zeros(h0.shape)
     return (1.0, ev.targets, _pulse_amplitude(ev, settings)), width, phase
 
 
@@ -163,18 +158,17 @@ def _chain(terms) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow leaves a NaN, which a check below reports
 def _lower_chunk(chunk, settings: SimulationSettings, h0, rf_scales):
-    """(K, M, 8, 8) propagators of K programs at M members, the broadcast of h0 (S, 8, 8)
-    and the rf scales. Distinct events are lowered once: one exp for all delay/z-rotation
-    phases, one real eigh for all distinct pulse generators at all members (sound as h0 is
-    diagonal), one exp per phase-free class (generator and time) and one for all pulse
+    """(K, M, 8, 8) propagators of K programs at M members, the broadcast of the H0 diagonals
+    h0 (S, 8) and the rf scales. Distinct events are lowered once: one exp for all delay and
+    z-rotation phases, one real eigh for all distinct pulse generators at all members (sound
+    as H0 is diagonal), one exp per phase-free class (generator and time) and one for all pulse
     phases. Then each distinct program of the parts trees is chained once, parts first: a
     leaf (a program without parts) from its events, a node from its parts' products."""
     programs = _post_order(chunk)  # alive for the call, so their ids key products
     index: dict = {}
     orders = {id(p): [index.setdefault(ev, len(index)) for ev in p.events]
               for p in programs if not p.parts}
-    h0_diag = np.diagonal(h0, axis1=1, axis2=2)
-    ops = [_lower(ev, settings, h0_diag) for ev in index]  # made phase vectors, stacks below
+    ops = [_lower(ev, settings, h0) for ev in index]  # made phase vectors, stacks below
     diag = [i for i, op in enumerate(ops) if isinstance(op, np.ndarray)]
     for i, phases in zip(diag, np.exp(-1j * np.array([ops[i] for i in diag]))):
         ops[i] = phases
@@ -185,7 +179,8 @@ def _lower_chunk(chunk, settings: SimulationSettings, h0, rf_scales):
         classes = {c: k for k, c in enumerate(dict.fromkeys(zip(keys, times)))}
         h0_weight, targets, amp = zip(*generators)
         rf = np.array([rf_hamiltonian(s, a, 0.0).real for s, a in zip(targets, amp)])
-        w, v = eigh_hermitian(np.array(h0_weight)[:, None, None, None] * h0
+        h0_matrices = np.where(_DIAGONAL, h0[..., None], 0.0)
+        w, v = eigh_hermitian(np.array(h0_weight)[:, None, None, None] * h0_matrices
                               + rf_scales[:, None, None] * rf[:, None])
         group = [generators[key] for key, _ in classes]
         class_stacks = expm_eigh(w[group], v[group], np.array([t for _, t in classes])[:, None])
@@ -198,8 +193,7 @@ def _lower_chunk(chunk, settings: SimulationSettings, h0, rf_scales):
         terms = [products[id(q)] for q in p.parts] if p.parts else [ops[i] for i in orders[id(p)]]
         products[id(p)] = _chain(terms)
     members = len(rf_scales) if len(h0) == 1 else len(h0)
-    diagonal = np.eye(8, dtype=bool)  # a diagonal product is placed there; its zeros are +0.0, as np.diag's
-    out = np.array([u if u.ndim == 3 else np.broadcast_to(np.where(diagonal, u[..., None], 0), (members, 8, 8))
+    out = np.array([u if u.ndim == 3 else np.broadcast_to(np.where(_DIAGONAL, u[..., None], 0), (members, 8, 8))
                     for u in (products[id(p)] for p in chunk)])
     defect = unitarity_defect(out)  # the exit check, once per chunk; NaN fails it
     if not defect <= 1e-10:
@@ -215,7 +209,7 @@ def propagator_stacks(programs, sys, settings: SimulationSettings = IDEAL, scale
     mode ignores, have 1 or M entries each and broadcast to M members. Lowers
     max(1, _CHUNK_MEMBERS // M) programs at a time, in slices of _CHUNK_MEMBERS members."""
     systems = (sys,) if isinstance(sys, SpinSystem) else tuple(sys)
-    h0 = np.array([free_hamiltonian(s).real for s in systems]).reshape(-1, 8, 8)
+    h0 = np.reshape([free_hamiltonian(s) for s in systems], (-1, 8))  # (0, 8) for no system
     rf_scales = np.asarray(scales, float) if settings.mode == "realistic" else np.ones(len(scales))
     if len(rf_scales) != len(h0) and 1 not in (len(h0), len(rf_scales)):
         raise ValueError(f"sys and scales must broadcast to one member count, "
@@ -257,23 +251,3 @@ def evolve_many(rho0: np.ndarray, programs, sys: SpinSystem,
     scales, weights = ensemble_scales(settings)
     for u in propagator_stacks(programs, sys, settings, scales):
         yield np.tensordot(weights, u @ rho0 @ u.conj().swapaxes(-1, -2), axes=1)
-
-
-def inclusive_grid(start: float, stop: float, step: float) -> list[float]:
-    """Points start + i * step up to stop; [] when stop < start. A point past
-    stop by rounding only, 1e-12 * max(1, |start|, |stop|), is kept, so a grid
-    that reaches stop ends there. Raises ValueError naming the field for a
-    non-finite bound or step, for step <= 0 and past MAX_GRID_POINTS points."""
-    for name, value in (("start", start), ("stop", stop), ("step", step)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if stop < start:
-        return []
-    # round(span) + 1 points at most, counted before the grid is built; inf for a tiny step
-    span = (stop - start) / step
-    if span > MAX_GRID_POINTS or round(span) >= MAX_GRID_POINTS:
-        raise ValueError(f"grid spans more than {MAX_GRID_POINTS} points")
-    last = stop + 1e-12 * max(1.0, abs(start), abs(stop))
-    return [x for x in (start + i * step for i in range(round(span) + 1)) if x <= last]

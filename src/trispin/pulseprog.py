@@ -212,7 +212,7 @@ _WRITERS = {cls: (" ".join([keyword, *("%s" if keyword == "delay" else key + "=%
 
 
 def _fields(tokens, keys) -> list:
-    """The values of key=value tokens that give exactly these keys, in key order."""
+    """The values of key=value tokens that give each of these keys once, in key order."""
     out = {}
     for tok in tokens:
         key, eq, value = tok.partition("=")
@@ -220,6 +220,8 @@ def _fields(tokens, keys) -> list:
             raise ValueError(f"expected key=value, got {tok!r}")
         if key not in keys:
             raise ValueError(f"unknown field {key!r}")
+        if key in out:  # the last value would silently win
+            raise ValueError(f"repeated field {key!r}")
         out[key] = value
     if len(out) != len(keys):
         raise ValueError(f"missing field(s) {sorted(set(keys) - set(out))}")

@@ -99,17 +99,15 @@ def spin_operator(k: int, axis: str) -> np.ndarray:
     return out
 
 
+# the diagonal of I_kz for each spin k; H0 and every z-rotation are diagonal in the Zeeman basis
+IZ_DIAG = {k: np.diag(spin_operator(k, "z")).real for k in (1, 2, 3)}
+
+
 def free_hamiltonian(sys: SpinSystem) -> np.ndarray:
-    """H0 = coupling + offset term, in rad/s. Diagonal in the Zeeman basis."""
-    iz = [spin_operator(k, "z") for k in (1, 2, 3)]
-    return 2 * np.pi * (
-        sys.j12 * iz[0] @ iz[1]
-        + sys.j23 * iz[1] @ iz[2]
-        + sys.j13 * iz[0] @ iz[2]
-        + sys.nu1 * iz[0]
-        + sys.nu2 * iz[1]
-        + sys.nu3 * iz[2]
-    )
+    """H0 = coupling + offset term, in rad/s, as its (8,) real diagonal in the Zeeman basis."""
+    z1, z2, z3 = IZ_DIAG.values()
+    return 2 * np.pi * (sys.j12 * z1 * z2 + sys.j23 * z2 * z3 + sys.j13 * z1 * z3
+                        + sys.nu1 * z1 + sys.nu2 * z2 + sys.nu3 * z3)
 
 
 def rf_hamiltonian(targets, amplitude: float, phase: float) -> np.ndarray:

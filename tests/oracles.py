@@ -83,8 +83,8 @@ def _hard_pulse_unitary(ev, sys, settings, h0, rf_scale):
 
 def propagator_loop(p, sys, settings, rf_scale=1.0):
     """Total propagator of the program; events compose right-to-left in time."""
-    h0 = free_hamiltonian(sys)
-    h0_diag = np.diag(h0).copy()
+    h0_diag = free_hamiltonian(sys)
+    h0 = np.diag(h0_diag)
     cache: dict = {}
     u = np.eye(8, dtype=complex)
     for ev in p.events:

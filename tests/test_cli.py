@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -271,6 +272,11 @@ def test_oversized_kappa_grid_rejected_before_it_is_built(capsys, command, kappa
      "cannot read config: "),
     (["eta-sweep", "--variant", "B", "--kappa", "1:1", "--config", "{cfg}"], "nu3 = 1e308\n",
      "nu3 must be finite, got 1e+308 (2 pi nu3 overflows)"),
+    # config values are checked in ideal mode too, although it runs no rf ensemble
+    (["eta-sweep", "--variant", "B", "--kappa", "1:1", "--config", "{cfg}"], "rf_fwhm = 5\n",
+     "rf_fwhm must be in [0, 1)"),
+    (["eta-sweep", "--variant", "B", "--kappa", "1:1", "--config", "{cfg}"], "rf_proton = -3\n",
+     "rf_proton must be positive, got -3.0"),
     (["eta-sweep", "--variant", "Z", "--kappa", "1:1"], None, "unknown variant 'Z'"),
     (["verify", "nosuch"], None, "unknown suite 'nosuch'"),
     (["verify", "limits", "--J", "-3"], None, "coupling J must be positive and finite, got -3.0"),
@@ -287,7 +293,8 @@ def test_oversized_kappa_grid_rejected_before_it_is_built(capsys, command, kappa
     (["frob"], None, "trispin: argument command: invalid choice: 'frob'"),
 ], ids=["kappa-value", "kappa-shape", "kappa-size", "kappa-domain-tail", "kappa-domain-all",
         "curves-kappa-domain", "kappa-empty", "curves-kappa-empty", "config-no-equals", "config-key",
-        "config-value", "config-rf-grid", "config-unreadable", "config-nu3-overflow", "variant", "suite", "j", "out",
+        "config-value", "config-rf-grid", "config-unreadable", "config-nu3-overflow",
+        "config-ideal-rf-fwhm", "config-ideal-rf-proton", "variant", "suite", "j", "out",
         "compile-n", "compile-n-huge", "argparse-missing-j", "argparse-j-value", "argparse-j-option",
         "argparse-command"])
 def test_every_command_error_returns_2_with_one_stderr_line(tmp_path, capsys, argv, config,
@@ -303,6 +310,46 @@ def test_every_command_error_returns_2_with_one_stderr_line(tmp_path, capsys, ar
 
 def test_kappa_grid_cap_is_inclusive():
     assert len(cli._parse_range(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+
+
+@pytest.mark.parametrize("text, message", [
+    ("nan:1:0.1", "start must be finite, got nan"),
+    ("0:-inf:0.1", "stop must be finite, got -inf"),
+    ("0:1:inf", "step must be finite, got inf"),
+    ("0:1:0", "step must be positive"),
+    ("1:0:-0.1", "step must be positive"),
+    ("0:inf:10", "stop must be finite, got inf"),
+    ("-inf:0:10", "start must be finite, got -inf"),
+    ("nan:0:10", "start must be finite, got nan"),
+    ("0:100:nan", "step must be finite, got nan"),
+    ("0:100:inf", "step must be finite, got inf"),
+    ("0:1:1e-5", "grid spans more than 10000 points"),
+    ("0:1:1e-320", "grid spans more than 10000 points"),
+    ("-1e308:1e308:1", "grid spans more than 10000 points"),  # rejected before a point is built
+])
+def test_kappa_range_rejects_bad_bounds_naming_the_field(text, message):
+    with pytest.raises(ValueError, match=f"^--kappa {re.escape(repr(text))}: {re.escape(message)}$"):
+        cli._parse_range(text)
+
+
+def test_kappa_range_is_empty_when_stop_precedes_start():
+    for text in ("1:0.5:0.1", "100:0:10"):
+        with pytest.raises(ValueError, match=f"^--kappa '{text}': empty range$"):
+            cli._parse_range(text)
+    assert cli._parse_range("1:1:0.1") == [1.0]
+
+
+@pytest.mark.parametrize("text, points", [
+    ("-500:500:150", 7),  # 1000 / 150 = 6.67 steps rounds to 7; an 8th point would be 550
+    ("0:1:0.35", 3),
+    ("-1750:1750:350", 11),
+    ("-6587.9:3102.4:2.7", 3590),  # the last point passes stop by 1.4e-12, a rounding error
+])
+def test_kappa_range_stays_within_the_range(text, points):
+    start, stop, _ = map(float, text.split(":"))
+    grid = cli._parse_range(text)
+    assert len(grid) == points and grid[0] == start
+    assert all(x <= stop or math.isclose(x, stop, rel_tol=1e-14) for x in grid)
 
 
 def test_identity_suite_makes_two_eighs(monkeypatch, capsys):

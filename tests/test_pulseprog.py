@@ -235,6 +235,8 @@ def test_total_duration_realistic_adds_pulse_widths():
     ("pulse targets=1,a angle=90 phase=x", "bad target list '1,a'"),
     ("pulse targets=1 angle=90 x", "expected key=value, got 'x'"),
     ("pulse targets=1 angle=90 phase=x width=2", "unknown field 'width'"),
+    ("pulse targets=1 targets=2 angle=90 phase=x angle=45", "repeated field 'targets'"),
+    ("zrot target=1 target=2 angle=5", "repeated field 'target'"),
     ("zrot target=a angle=90", "bad target 'a'"),
     ("delay 5", "bad time literal '5'"),
     ("delay 1_0s", "bad time literal '1_0s'"),

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from trispin.linalg import expm_generator
 from trispin.spinsys import (
@@ -39,12 +40,17 @@ def test_operator_trace_normalization():
                     assert abs(got - expected) < 1e-14
 
 
-def test_free_hamiltonian_matches_bit_loop_oracle():
-    sys = acetamide()
-    h = free_hamiltonian(sys)
-    assert np.allclose(h, np.diag(np.diag(h)), atol=1e-14)  # diagonal
-    oracle = h0_diagonal_loops(88.8, 87.3, 2.9, 0.0, 0.0, 358.0)
-    assert np.max(np.abs(np.diag(h).real - oracle)) < 1e-9
+# signed zeros, subnormals down to the smallest, and values near 1e300, whose sums stay finite
+_HZ = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]),
+                st.floats(-2.3e-308, 2.3e-308), st.floats(-1e300, 1e300))
+
+
+@given(st.tuples(*[_HZ] * 6))
+@example((88.8, 87.3, 2.9, 0.0, 0.0, 358.0))  # acetamide
+def test_free_hamiltonian_matches_bit_loop_oracle(fields):
+    h0 = free_hamiltonian(SpinSystem(*fields))
+    assert h0.shape == (8,) and h0.dtype == np.float64
+    assert np.array_equal(h0, h0_diagonal_loops(*fields))  # exactly: each term's products in the same order
 
 
 def test_acetamide_parameters():
