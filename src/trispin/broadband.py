@@ -26,8 +26,9 @@ from .pulseprog import TWO_PI, Delay, HardPulse, PulseProgram, WeakPulse, ZRotat
 from .sequences import _check_kappa, build_uzzz, compose_swap13, geodesic_tau
 
 _X = 0.0
-# the refocusing pi(1,2,3) pulses in turn (x, -x, -x, x); their count divides every DANTE n
-_CYCLE = tuple(HardPulse(frozenset({1, 2, 3}), math.pi, phase) for phase in (_X, math.pi, math.pi, _X))
+# the refocusing pi(1,2,3) pulses in turn (x, -x, -x, x), one object per phase; their count divides every DANTE n
+_PI_X, _PI_MX = (HardPulse(frozenset({1, 2, 3}), math.pi, phase) for phase in (_X, math.pi))
+_CYCLE = (_PI_X, _PI_MX, _PI_MX, _PI_X)
 
 
 def _check_segments(n: int) -> int:

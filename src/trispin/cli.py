@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import broadband, metrics, sequences
-from .engine import IDEAL, MAX_GRID_POINTS, SimulationSettings, propagator_stacks
+from .engine import IDEAL, MAX_GRID_POINTS, MODES, SimulationSettings, propagator_stacks
 from .pulseprog import parse_program, serialize_program
 from .spinsys import SpinSystem, acetamide, ideal_chain, target_trilinear, swap13_target, spin_operator
 from .linalg import expm_generator
@@ -64,11 +64,9 @@ def _parse_range(text: str, check=None):
 
 
 def _load_config(path: str | None) -> dict:
-    """Flat key=value config; defaults reproduce the acetamide system."""
-    ace = acetamide()
-    cfg = {name: getattr(ace, name) for name in ("j12", "j23", "j13", "nu1", "nu2", "nu3")}
-    cfg.update(rf_proton=IDEAL.rf_proton, rf_hetero=IDEAL.rf_hetero,
-               rf_fwhm=0.10, rf_grid=IDEAL.rf_grid_points)
+    """Flat key=value config: SpinSystem's fields (acetamide's by default) and the rf settings."""
+    cfg = {**vars(acetamide()), "rf_proton": IDEAL.rf_proton, "rf_hetero": IDEAL.rf_hetero,
+           "rf_fwhm": 0.10, "rf_grid": IDEAL.rf_grid_points}
     if path is None:
         return cfg
     try:
@@ -120,24 +118,16 @@ def cmd_curves(args) -> int:
     kappas = _parse_range(args.kappa, metrics._check_ratio_kappa)
     print("kappa,tau_A,tau_B,tau_C,tau_D,s_A,s_B,s_C,s_D,rA,rC,rD")
     for row in metrics.fig2_tables(kappas):
-        cells = [row["kappa"], *(row[f"{q}_{v}"] for q in ("tau", "s") for v in "ABCD"),
+        cells = [row["kappa"], *(row[f"{q}_{v}"] for q in ("tau", "s") for v in sequences.VARIANTS),
                  *(row[f"r_{v}"] for v in "ACD")]
         print(",".join(_fmt(c) for c in cells))
     return 0
 
 
 def cmd_eta_sweep(args) -> int:
-    if args.variant not in sequences.VARIANTS:
-        raise ValueError(f"unknown variant {args.variant!r}")
     cfg = _load_config(args.config)
-    sys_ = SpinSystem(cfg["j12"], cfg["j23"], cfg["j13"],
-                      cfg["nu1"], cfg["nu2"], cfg["nu3"])
-    settings = SimulationSettings(
-        mode=args.mode,
-        rf_proton=cfg["rf_proton"], rf_hetero=cfg["rf_hetero"],
-        rf_fwhm=cfg["rf_fwhm"],
-        rf_grid_points=int(cfg["rf_grid"]),
-    )
+    sys_ = SpinSystem(**{name: cfg.pop(name) for name in vars(acetamide())})
+    settings = SimulationSettings(args.mode, rf_grid_points=cfg.pop("rf_grid"), **cfg)
     kappas = _parse_range(args.kappa, sequences._check_kappa)
     # the whole curve is computed before any output, so an error leaves
     # stdout empty
@@ -203,8 +193,6 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
     sequences._check_j(args.J)  # once for every suite, also one that never reads J
     # the whole suite runs before any output, so an error leaves stdout empty
     results = list(SUITES[args.suite](args.J))
@@ -258,19 +246,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_curves)
 
     p = sub.add_parser("eta-sweep", help="transfer-efficiency sweep (CSV)")
-    p.add_argument("--variant", required=True)
-    p.add_argument("--mode", default="ideal", help="ideal or realistic")
+    p.add_argument("--variant", required=True, choices=sequences.VARIANTS)
+    p.add_argument("--mode", default=IDEAL.mode, choices=MODES)
     p.add_argument("--kappa", default="0.1:2.0:0.1", help="range start:stop[:step]")
     p.add_argument("--config", default=None, help="key=value config file")
     p.set_defaults(func=cmd_eta_sweep)
 
     p = sub.add_parser("verify", help="run an oracle check suite")
-    p.add_argument("suite", help="identities | swap | broadband | limits")
+    p.add_argument("suite", choices=SUITES)
     p.add_argument("--J", type=float, default=88.0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compile", help="write a pulse program file")
-    p.add_argument("--variant", required=True)
+    p.add_argument("--variant", required=True, choices=sequences.VARIANTS)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--J", type=float, default=88.0)
     p.add_argument("--broadband", action="store_true")

@@ -23,6 +23,7 @@ _FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 # the cap of cli._parse_range's --kappa grid, rf_grid_points and broadband._check_segments's DANTE n
 MAX_GRID_POINTS = 10_000
+MODES = ("ideal", "realistic")  # SimulationSettings.mode, and the CLI's --mode choices
 
 _RF_FIELDS = {PROTON: "rf_proton", HETERO: "rf_hetero"}  # channel -> its SimulationSettings field
 
@@ -45,8 +46,8 @@ class SimulationSettings:
     rf_grid_points: int = 11
 
     def __post_init__(self):
-        if self.mode not in ("ideal", "realistic"):
-            raise ValueError(f"mode must be 'ideal' or 'realistic', got {self.mode!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {self.mode!r}")
         # in both modes: a finite pulse's width divides by them, and a NaN would fail the batched eigh
         for name in _RF_FIELDS.values():
             amp = getattr(self, name)

@@ -13,9 +13,9 @@ Text format, one event per line, '#' starts a comment:
 
 The grammar is one table, read by both the serializer and the parser: each
 key's parser and formatter (_KEYS), and each keyword's event type and keys
-(_KEYWORDS). The serializer's output is deterministic. '# label:', '# kappa:'
-and '# meta' comment directives carry the program's metadata; other comments
-are ignored.
+(_KEYWORDS). The serializer's output is deterministic. '# label:' and
+'# kappa:' (each at most once) and '# meta' comment directives carry the
+program's metadata; other comments are ignored.
 """
 from __future__ import annotations
 
@@ -36,13 +36,15 @@ def _validate_event(ev) -> None:
         if name == "targets":
             # stored as a frozenset of ints: the engine hashes events, and the text format prints them
             try:
-                targets = frozenset(map(operator.index, value))
+                targets = frozenset(given := list(map(operator.index, value)))
             except TypeError:
                 raise ValueError(f"targets must be an iterable of integer spin indices, got {value!r}") from None
             if not targets:
                 raise ValueError("pulse requires at least one target spin")
             if not {1, 2, 3}.issuperset(targets):
                 raise ValueError(f"unknown spin index in targets {sorted(targets)}")
+            if len(targets) != len(given):  # a set would drop the repeat, and the text would lose it
+                raise ValueError(f"repeated spin index in targets {given}")
             object.__setattr__(ev, "targets", targets)
         elif name == "target":  # an int, as each of targets: True is spin 1, and 1.0 no spin index
             try:
@@ -190,7 +192,7 @@ def _literal(tok: str, units: dict) -> float:
 # The grammar. Each text key: the name its error uses, its parser (text -> the
 # value an event stores) and its formatter (the inverse)
 _KEYS = {
-    "targets": ("target list", lambda tok: frozenset(map(int, tok.split(","))), _fmt_targets),
+    "targets": ("target list", lambda tok: [int(k) for k in tok.split(",")], _fmt_targets),
     "target": ("target", int, str),
     "angle": ("angle", lambda tok: math.radians(float(tok)), _fmt_deg),
     "phase": ("phase", lambda tok: _PHASE_NAMES[tok] if tok in _PHASE_NAMES else math.radians(float(tok)),
@@ -237,7 +239,7 @@ def _value(key: str, tok: str):
 
 
 def parse_program(text: str) -> PulseProgram:
-    events, meta, label, kappa = [], [], "", None
+    events, meta, label, kappa = [], [], None, None  # None: no directive yet
     # raw line -> its event, for this call only: a program repeats few distinct
     # lines, and only a line that parsed is stored, so each bad line still raises
     parsed = {}
@@ -247,6 +249,9 @@ def parse_program(text: str) -> PulseProgram:
             events.append(ev)
             continue
         comment = raw.strip()  # directives carry the metadata; other comments are ignored
+        for directive, value in (("# label:", label), ("# kappa:", kappa)):
+            if value is not None and comment.startswith(directive):  # the last one would silently win
+                raise ProgramSyntaxError(f"repeated directive {directive!r}", lineno)
         # a syntax error and an error of the event constructors (finite values,
         # known spins, no negative duration) are both a ValueError; this one
         # handler adds the line number, and costs nothing until it catches
@@ -273,7 +278,7 @@ def parse_program(text: str) -> PulseProgram:
         except ValueError as exc:
             message = "bad kappa value" if comment.startswith("# kappa:") else str(exc)
             raise ProgramSyntaxError(message, lineno) from None
-    return PulseProgram(tuple(events), label=label, kappa=kappa, meta=tuple(meta))
+    return PulseProgram(tuple(events), label=label or "", kappa=kappa, meta=tuple(meta))
 
 
 def _event_line(ev) -> str:

@@ -69,6 +69,13 @@ def test_odd_refocus_count_ends_with_a_one_event_pi_part(p):
     assert q == refocus_offsets(PulseProgram(p.events))
 
 
+def test_refocusing_inserts_one_pi_object_per_phase():
+    # the cycle x, -x, -x, x is two pulse objects, so the serializer formats each once
+    pis = [ev for ev in refocus_offsets(PulseProgram((Delay(1e-3),) * 4)).events if isinstance(ev, HardPulse)]
+    assert [ev.phase for ev in pis] == [0.0, math.pi, math.pi, 0.0]
+    assert len({id(ev) for ev in pis}) == 2
+
+
 def test_inverted_frame_negates_later_phases_and_zrots():
     p = PulseProgram((Delay(1e-3), HardPulse(frozenset({1}), math.pi / 2, 0.3),
                       ZRotation(2, 0.5), Delay(1e-3)))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import math
@@ -14,9 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trispin import cli
-from trispin.engine import MAX_GRID_POINTS
+from trispin.engine import MAX_GRID_POINTS, MODES
 from trispin.pulseprog import HardPulse, parse_program, serialize_program
-from trispin.sequences import build_uzzz
+from trispin.sequences import VARIANTS, build_uzzz
 
 
 def run(capsys, *argv):
@@ -277,8 +278,14 @@ def test_oversized_kappa_grid_rejected_before_it_is_built(capsys, command, kappa
      "rf_fwhm must be in [0, 1)"),
     (["eta-sweep", "--variant", "B", "--kappa", "1:1", "--config", "{cfg}"], "rf_proton = -3\n",
      "rf_proton must be positive, got -3.0"),
-    (["eta-sweep", "--variant", "Z", "--kappa", "1:1"], None, "unknown variant 'Z'"),
-    (["verify", "nosuch"], None, "unknown suite 'nosuch'"),
+    # the choices of --variant, --mode and suite are the library's own tables
+    (["eta-sweep", "--variant", "Z", "--kappa", "1:1"], None,
+     "trispin eta-sweep: argument --variant: invalid choice: 'Z'"),
+    (["eta-sweep", "--variant", "B", "--mode", "exact"], None,
+     "trispin eta-sweep: argument --mode: invalid choice: 'exact'"),
+    (["compile", "--variant", "E", "--kappa", "1", "--out", "{missing}"], None,
+     "trispin compile: argument --variant: invalid choice: 'E'"),
+    (["verify", "nosuch"], None, "trispin verify: argument suite: invalid choice: 'nosuch'"),
     (["verify", "limits", "--J", "-3"], None, "coupling J must be positive and finite, got -3.0"),
     (["compile", "--variant", "B", "--kappa", "1", "--out", "{missing}/x.pp"], None,
      "cannot write "),
@@ -294,8 +301,8 @@ def test_oversized_kappa_grid_rejected_before_it_is_built(capsys, command, kappa
 ], ids=["kappa-value", "kappa-shape", "kappa-size", "kappa-domain-tail", "kappa-domain-all",
         "curves-kappa-domain", "kappa-empty", "curves-kappa-empty", "config-no-equals", "config-key",
         "config-value", "config-rf-grid", "config-unreadable", "config-nu3-overflow",
-        "config-ideal-rf-fwhm", "config-ideal-rf-proton", "variant", "suite", "j", "out",
-        "compile-n", "compile-n-huge", "argparse-missing-j", "argparse-j-value", "argparse-j-option",
+        "config-ideal-rf-fwhm", "config-ideal-rf-proton", "variant", "mode", "compile-variant", "suite", "j",
+        "out", "compile-n", "compile-n-huge", "argparse-missing-j", "argparse-j-value", "argparse-j-option",
         "argparse-command"])
 def test_every_command_error_returns_2_with_one_stderr_line(tmp_path, capsys, argv, config,
                                                             message):
@@ -306,6 +313,19 @@ def test_every_command_error_returns_2_with_one_stderr_line(tmp_path, capsys, ar
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith(message)
+
+
+def _choices(command, dest):
+    """The choices of one argument of one subcommand, as the parser holds them."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if a.dest == dest)
+
+
+def test_the_parser_choices_are_the_library_tables():
+    # the objects themselves, so a suite, variant or mode added to the library needs no CLI edit
+    assert _choices("verify", "suite") is cli.SUITES
+    assert _choices("eta-sweep", "variant") is VARIANTS and _choices("compile", "variant") is VARIANTS
+    assert _choices("eta-sweep", "mode") is MODES == ("ideal", "realistic")
 
 
 def test_kappa_grid_cap_is_inclusive():
@@ -433,13 +453,13 @@ _SMALL_INTS = st.sampled_from(("1", "3", "4", "8", "11")) | st.sampled_from(
     ("-4", "0", "7", "10001", "4000000000", "1.5", "x", ""))
 _ARGV = st.one_of(
     st.tuples(st.just(["table1", "--J"]), _VALUE).map(lambda t: t[0] + [t[1]]),
-    st.tuples(st.sampled_from(("identities", "swap", "broadband", "limits")) | st.sampled_from(("paper", "")),
+    st.tuples(st.sampled_from(tuple(cli.SUITES)) | st.sampled_from(("paper", "")),
               _VALUE).map(
         lambda t: ["verify", t[0], "--J", t[1]]),
     _KAPPA.map(lambda k: ["curves", "--kappa", k]),
-    st.tuples(st.sampled_from("ABCD") | st.sampled_from(("E", "")),
-              st.sampled_from(("ideal", "realistic")) | st.just("exact"), _KAPPA).map(lambda t: ["eta-sweep", "--variant", t[0], "--mode", t[1], "--kappa", t[2]]),
-    st.tuples(st.sampled_from(("A", "B", "C", "D", "E")), _VALUE, _VALUE, st.booleans(),
+    st.tuples(st.sampled_from(VARIANTS) | st.sampled_from(("E", "")),
+              st.sampled_from(MODES) | st.just("exact"), _KAPPA).map(lambda t: ["eta-sweep", "--variant", t[0], "--mode", t[1], "--kappa", t[2]]),
+    st.tuples(st.sampled_from(VARIANTS + ("E",)), _VALUE, _VALUE, st.booleans(),
               st.none() | _SMALL_INTS).map(
         lambda t: ["compile", "--variant", t[0], "--kappa", t[1], "--J", t[2], "--out", os.devnull]
         + ["--broadband"] * t[3] + (["--n", t[4]] if t[4] is not None else [])),

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import operator
 import re
 from dataclasses import fields, replace
 
@@ -98,6 +99,16 @@ def test_targets_are_stored_as_a_frozenset_of_ints(targets):
                           propagator_of(parse_program(serialize_program(p)), ideal_chain(88.0)))
 
 
+@pytest.mark.parametrize("targets, given", [([3, 3, 1], [3, 3, 1]), ((2, np.int64(2)), [2, 2]), ([1, True], [1, 1])])
+def test_a_repeated_target_spin_is_rejected(targets, given):
+    # True is spin 1, as in a single target, so [1, True] repeats spin 1
+    message = f"^repeated spin index in targets {re.escape(str(given))}$"
+    with pytest.raises(ValueError, match=message):
+        HardPulse(targets, math.pi, 0.0)
+    with pytest.raises(ValueError, match=message):
+        WeakPulse(targets, 10.0, 1e-3, 0.0)
+
+
 @pytest.mark.parametrize("targets", [1, None, [1.0], ["1"], [[1]]])
 def test_targets_that_are_not_an_iterable_of_integers_are_named(targets):
     with pytest.raises(ValueError, match=r"^targets must be an iterable of integer spin indices, got "):
@@ -136,6 +147,11 @@ def test_non_finite_kappa_directive_rejected(value):
     with pytest.raises(ProgramSyntaxError, match="^line 2: bad kappa value$") as err:
         parse_program(f"delay 1ms\n# kappa: {value}\n")
     assert err.value.line == 2
+
+
+def test_meta_directives_may_repeat_a_key():
+    # unlike '# label:' and '# kappa:', which a program carries once
+    assert parse_program("# meta k=1\ndelay 1ms\n# meta k=2\n").meta == (("k", "1"), ("k", "2"))
 
 
 def test_metadata_round_trips():
@@ -247,11 +263,15 @@ def test_total_duration_realistic_adds_pulse_widths():
     ("nop 1", "unknown event 'nop'"),
     ("zrot target=1 angle=x", "bad angle 'x'"),
     ("# kappa: abc", "bad kappa value"),
+    ("pulse targets=1,3,1 angle=90 phase=x", "repeated spin index in targets [1, 3, 1]"),
+    ("# kappa: 1\n# kappa: 2", "repeated directive '# kappa:'"),
+    ("# label: a\n# meta k=v\n# label: b", "repeated directive '# label:'"),
 ])
 def test_event_validator_errors_carry_line_number(bad, message):
-    with pytest.raises(ProgramSyntaxError, match=f"^line 2: {re.escape(message)}$") as err:
+    line = bad.count("\n") + 2  # the error is on the last line of bad
+    with pytest.raises(ProgramSyntaxError, match=f"^line {line}: {re.escape(message)}$") as err:
         parse_program(f"delay 1ms\n{bad}\n")
-    assert err.value.line == 2
+    assert err.value.line == line
 
 
 _ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
@@ -483,7 +503,7 @@ def _scalars(lo, hi):
 
 
 _ANY_ANGLE = _scalars(-4 * math.pi, 4 * math.pi)
-_ANY_TARGETS = st.lists(st.sampled_from((1, 2, 3, True, np.int64(2))), min_size=1).flatmap(
+_ANY_TARGETS = st.lists(st.sampled_from((1, 2, 3, True, np.int64(2))), min_size=1, unique_by=operator.index).flatmap(
     lambda ks: st.sampled_from((ks, tuple(ks), set(ks), frozenset(ks))))
 _ANY_EVENT = st.one_of(
     st.builds(HardPulse, _ANY_TARGETS, _ANY_ANGLE, _ANY_ANGLE),
