@@ -32,7 +32,6 @@ from .sequences import (
     build_swap13,
     build_uzzz,
     duration_scaling,
-    swap_duration_bookkeeping,
     theoretical_limit,
     weak_pulse_amplitude,
 )

@@ -69,6 +69,7 @@ def _load_config(path: str | None) -> dict:
            "rf_fwhm": 0.10, "rf_grid": IDEAL.rf_grid_points}
     if path is None:
         return cfg
+    read = {}
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -77,38 +78,37 @@ def _load_config(path: str | None) -> dict:
                     continue
                 if "=" not in line:
                     raise ValueError(f"config line {lineno}: expected key=value")
-                key, _, value = line.partition("=")
-                key = key.strip()
+                key, _, value = (part.strip() for part in line.partition("="))
                 if key not in cfg:
                     raise ValueError(f"config line {lineno}: unknown key {key!r}")
+                if key in read:  # the last value would silently win
+                    raise ValueError(f"config line {lineno}: repeated key {key!r}")
                 try:
-                    cfg[key] = type(cfg[key])(value.strip())
+                    if "_" in value:  # int() and float() would read 8_8.8 as 88.8
+                        raise ValueError(f"'_' in number {value!r}")
+                    read[key] = type(cfg[key])(value)
                 except ValueError as exc:
                     raise ValueError(f"config line {lineno}: {key}: {exc}") from None
     except OSError as exc:
         raise ValueError(f"cannot read config: {exc}") from None
-    return cfg
+    return cfg | read
 
 
 def cmd_table1(args) -> int:
     j = args.J
-    book = sequences.swap_duration_bookkeeping(j)  # rejects J <= 0 before any output
-    header = "variant,tau1_s,s1,tau_swap13_s"
-    rows = []
-    for v in sequences.VARIANTS:
-        tau, s = sequences.duration_scaling(v, 1.0)
-        rows.append((v, tau / j, s, 3.0 * tau / j))
+    sequences._check_j(j)  # before any output
+    scaling = {v: sequences.duration_scaling(v, 1.0) for v in sequences.VARIANTS}  # (tau J, s)
+    rows = [(v, tau / j, s, 3.0 * tau / j) for v, (tau, s) in scaling.items()]
     print(f"Pulse sequence durations and scaling factors at kappa = 1, J = {_fmt(j)} Hz")
     print(f"{'':>10}" + "".join(f"{v:>12}" for v, *_ in rows))
     print(f"{'tau(1)':>10}" + "".join(f"{1e3 * r[1]:>10.3f}ms" for r in rows))
     print(f"{'s(1)':>10}" + "".join(f"{r[2]:>12.3f}" for r in rows))
     print(f"{'SWAP(1,3)':>10}" + "".join(f"{1e3 * r[3]:>10.1f}ms" for r in rows))
-    print(f"direct SWAP {1e3 * book['direct']:.1f}ms, conventional SWAP(1,3) "
-          f"{1e3 * book['conventional13']:.1f}ms, optimal "
-          f"{1e3 * book['optimal13']:.1f}ms "
-          f"({100 * book['optimal13'] / book['conventional13']:.1f}%)")
+    conventional, optimal = rows[0][3], rows[3][3]  # the SWAPs of A and D, 3 tau_v(1) / J
+    print(f"direct SWAP {1e3 * (3.0 / (2.0 * j)):.1f}ms, conventional SWAP(1,3) {1e3 * conventional:.1f}ms, "
+          f"optimal {1e3 * optimal:.1f}ms ({100 * optimal / conventional:.1f}%)")
     print()
-    print(header)
+    print("variant,tau1_s,s1,tau_swap13_s")
     for v, tau, s, tsw in rows:
         print(f"{v},{_fmt(tau)},{_fmt(s)},{_fmt(tsw)}")
     return 0

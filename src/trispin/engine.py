@@ -81,12 +81,14 @@ def hard_pulse_width(ev: HardPulse, settings: SimulationSettings) -> float:
 
 
 def total_duration(p: PulseProgram, settings: SimulationSettings = IDEAL) -> float:
-    """Program duration in seconds: delays plus weak-pulse durations, and in
-    realistic mode a hard_pulse_width for each hard pulse."""
-    if settings.mode == "ideal":
-        return p.nominal_duration
-    return sum((hard_pulse_width(ev, settings) for ev in p.events if isinstance(ev, HardPulse)),
-               p.nominal_duration)
+    """Duration (s), summed in event order: delays, weak pulses and, if realistic, hard_pulse_width."""
+    total = 0.0
+    for ev in p.events:
+        if isinstance(ev, (Delay, WeakPulse)):
+            total += ev.duration
+        elif isinstance(ev, HardPulse) and settings.mode == "realistic":
+            total += hard_pulse_width(ev, settings)
+    return total
 
 
 _FZ = sum(IZ_DIAG.values())  # diagonal of R = I1z + I2z + I3z
@@ -179,7 +181,7 @@ def _lower_chunk(chunk, settings: SimulationSettings, h0, rf_scales):
         generators = {key: g for g, key in enumerate(dict.fromkeys(keys))}
         classes = {c: k for k, c in enumerate(dict.fromkeys(zip(keys, times)))}
         h0_weight, targets, amp = zip(*generators)
-        rf = np.array([rf_hamiltonian(s, a, 0.0).real for s, a in zip(targets, amp)])
+        rf = np.array([rf_hamiltonian(s, a) for s, a in zip(targets, amp)])
         h0_matrices = np.where(_DIAGONAL, h0[..., None], 0.0)
         w, v = eigh_hermitian(np.array(h0_weight)[:, None, None, None] * h0_matrices
                               + rf_scales[:, None, None] * rf[:, None])

@@ -135,15 +135,6 @@ class PulseProgram:
                 raise ValueError("meta entries must be (key, value) strs on one line, with no '=' in the key "
                                  f"and no trailing whitespace in the value, got {entry!r}")
 
-    @property
-    def nominal_duration(self) -> float:
-        """Sum of delays and weak-pulse durations (hard pulses are free)."""
-        total = 0.0
-        for ev in self.events:
-            if isinstance(ev, (Delay, WeakPulse)):
-                total += ev.duration
-        return total
-
 
 def join(programs, label: str = "", kappa: float | None = None, meta: tuple = ()) -> PulseProgram:
     """The programs in time order as one program with this label, kappa and meta.

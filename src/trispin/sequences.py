@@ -187,13 +187,3 @@ def compose_swap13(core: PulseProgram, label: str, kappa: float) -> PulseProgram
 def build_swap13(v: str, kappa: float, j: float) -> PulseProgram:
     """Indirect SWAP(1,3) program around the variant's ideal U_zzz block."""
     return compose_swap13(build_uzzz(v, kappa, j), f"swap13-{v}", float(kappa))
-
-
-def swap_duration_bookkeeping(j: float) -> dict:
-    """Durations (s) of direct, conventional-indirect and optimal SWAP(1,3)."""
-    _check_j(j)
-    return {
-        "direct": 3.0 / (2.0 * j),
-        "conventional13": 3 * duration_scaling("A", 1.0)[0] / j,
-        "optimal13": 3 * duration_scaling("D", 1.0)[0] / j,
-    }

@@ -110,15 +110,13 @@ def free_hamiltonian(sys: SpinSystem) -> np.ndarray:
                         + sys.nu1 * z1 + sys.nu2 * z2 + sys.nu3 * z3)
 
 
-def rf_hamiltonian(targets, amplitude: float, phase: float) -> np.ndarray:
-    """Rotating-frame rf term 2*pi*amplitude * sum_k (Ikx cos(phi) + Iky sin(phi))."""
+def rf_hamiltonian(targets, amplitude: float) -> np.ndarray:
+    """Rotating-frame rf term at phase 0, 2*pi*amplitude * sum_k Ikx, a real matrix; the
+    engine turns a pulse at phase phi by exp(-i phi (I1z + I2z + I3z))."""
     targets = tuple(targets)
     if not targets:
         raise ValueError("rf_hamiltonian requires a nonempty target set")
-    h = np.zeros((8, 8), dtype=complex)
-    for k in targets:
-        h += spin_operator(k, "x") * np.cos(phase) + spin_operator(k, "y") * np.sin(phase)
-    return 2 * np.pi * amplitude * h
+    return 2 * np.pi * amplitude * sum(spin_operator(k, "x").real for k in targets)
 
 
 def target_trilinear(alpha: str, beta: str, gamma: str, kappa) -> np.ndarray:

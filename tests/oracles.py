@@ -18,9 +18,18 @@ import numpy as np
 from trispin.engine import ensemble_scales, hard_pulse_width
 from trispin.linalg import expm_generator, hermiticity_defect
 from trispin.pulseprog import Delay, HardPulse, WeakPulse, ZRotation, _fmt_deg, _fmt_phase, _fmt_targets
-from trispin.spinsys import free_hamiltonian, rf_hamiltonian, spin_operator
+from trispin.spinsys import free_hamiltonian, spin_operator
 
 TWO_PI = 2.0 * math.pi
+
+
+def rf_term(targets, amplitude, phase):
+    """Rotating-frame rf term at a phase, 2 pi amplitude sum_k (Ikx cos(phase) + Iky sin(phase)),
+    a complex matrix; the library keeps only the phase-0 term and rotates pulses by phase."""
+    h = np.zeros((8, 8), dtype=complex)
+    for k in targets:
+        h += spin_operator(k, "x") * np.cos(phase) + spin_operator(k, "y") * np.sin(phase)
+    return 2 * np.pi * amplitude * h
 
 
 def expm_taylor(h, t):
@@ -70,7 +79,7 @@ def h0_diagonal_loops(j12, j23, j13, nu1, nu2, nu3):
 
 def _hard_pulse_unitary(ev, sys, settings, h0, rf_scale):
     if settings.mode == "ideal":
-        return expm_generator(rf_hamiltonian(ev.targets, 1.0 / TWO_PI, ev.phase), ev.flip)
+        return expm_generator(rf_term(ev.targets, 1.0 / TWO_PI, ev.phase), ev.flip)
     # Finite pulse of hard_pulse_width; every channel's rf is stretched so
     # its flip completes within that width. The inhomogeneity scale
     # multiplies the delivered amplitude, not the programmed duration.
@@ -78,7 +87,7 @@ def _hard_pulse_unitary(ev, sys, settings, h0, rf_scale):
     if width == 0.0:
         return np.eye(8, dtype=complex)
     amp = rf_scale * ev.flip / (TWO_PI * width)
-    return expm_generator(h0 + rf_hamiltonian(ev.targets, amp, ev.phase), width)
+    return expm_generator(h0 + rf_term(ev.targets, amp, ev.phase), width)
 
 
 def propagator_loop(p, sys, settings, rf_scale=1.0):
@@ -96,7 +105,7 @@ def propagator_loop(p, sys, settings, rf_scale=1.0):
                 cache[key] = _hard_pulse_unitary(ev, sys, settings, h0, rf_scale)
             elif isinstance(ev, WeakPulse):
                 scale = rf_scale if settings.mode == "realistic" else 1.0
-                h = h0 + rf_hamiltonian(ev.targets, scale * ev.amplitude, ev.phase)
+                h = h0 + rf_term(ev.targets, scale * ev.amplitude, ev.phase)
                 cache[key] = expm_generator(h, ev.duration)
             elif isinstance(ev, ZRotation):
                 cache[key] = np.diag(np.exp(-1j * ev.angle * np.diag(spin_operator(ev.target, "z"))))

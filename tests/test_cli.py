@@ -43,6 +43,16 @@ def test_table1_swap_row(capsys):
         assert float(rows[v][2]) == pytest.approx(expected_s[v], abs=1e-3)
 
 
+def test_table1_prints_the_swap_bookkeeping(capsys):
+    # a direct SWAP takes 3 / 2J; the indirect SWAP(1,3) of A takes 9 / 2J and that of D 3 sqrt(3) / 2J
+    code, out = run(capsys, "table1", "--J", "88")
+    assert code == 0
+    direct, conventional, optimal = (1e3 * x / 176.0 for x in (3.0, 9.0, 3.0 * math.sqrt(3)))
+    assert (f"direct SWAP {direct:.1f}ms, conventional SWAP(1,3) {conventional:.1f}ms, optimal {optimal:.1f}ms "
+            f"({100 * optimal / conventional:.1f}%)") in out.splitlines()
+    assert "(57.7%)" in out
+
+
 def test_table1_unit_j(capsys):
     code, out = run(capsys, "table1", "--J", "1")
     assert code == 0
@@ -267,6 +277,14 @@ def test_oversized_kappa_grid_rejected_before_it_is_built(capsys, command, kappa
      "config line 2: unknown key 'coupling'"),
     (["eta-sweep", "--variant", "B", "--kappa", "1:1", "--config", "{cfg}"], "rf_grid = many\n",
      "config line 1: rf_grid: invalid literal for int()"),
+    # a repeated key is an error, as a repeated field of the program text is
+    (["eta-sweep", "--variant", "B", "--kappa", "1:1", "--config", "{cfg}"], "j12 = 88.8\nj12 = 10\n",
+     "config line 2: repeated key 'j12'"),
+    # int() and float() would read these as 88.8 and 11
+    (["eta-sweep", "--variant", "B", "--kappa", "1:1", "--config", "{cfg}"], "j12 = 8_8.8\n",
+     "config line 1: j12: '_' in number '8_8.8'"),
+    (["eta-sweep", "--variant", "B", "--kappa", "1:1", "--config", "{cfg}"], "# grid\nrf_grid = 1_1\n",
+     "config line 2: rf_grid: '_' in number '1_1'"),
     (["eta-sweep", "--variant", "B", "--kappa", "1:1", "--config", "{cfg}"], "rf_grid = 10000001\n",
      "rf_grid_points must be odd, positive and at most 10000, got 10000001"),
     (["eta-sweep", "--variant", "B", "--kappa", "1:1", "--config", "{missing}"], None,
@@ -300,7 +318,8 @@ def test_oversized_kappa_grid_rejected_before_it_is_built(capsys, command, kappa
     (["frob"], None, "trispin: argument command: invalid choice: 'frob'"),
 ], ids=["kappa-value", "kappa-shape", "kappa-size", "kappa-domain-tail", "kappa-domain-all",
         "curves-kappa-domain", "kappa-empty", "curves-kappa-empty", "config-no-equals", "config-key",
-        "config-value", "config-rf-grid", "config-unreadable", "config-nu3-overflow",
+        "config-value", "config-repeated-key", "config-underscore-float", "config-underscore-rf-grid",
+        "config-rf-grid", "config-unreadable", "config-nu3-overflow",
         "config-ideal-rf-fwhm", "config-ideal-rf-proton", "variant", "mode", "compile-variant", "suite", "j",
         "out", "compile-n", "compile-n-huge", "argparse-missing-j", "argparse-j-value", "argparse-j-option",
         "argparse-command"])

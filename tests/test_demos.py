@@ -28,6 +28,11 @@ def test_demo_exits_0(demo):
     assert _run(demo)
 
 
+def test_demo_01_prints_its_golden_durations():
+    # byte for byte: every figure is a closed form, the SWAP bookkeeping included
+    assert _run(ROOT / "demos" / "01_durations_and_scaling.py") == (ROOT / "tests" / "golden" / "demo_01.txt").read_text()
+
+
 def test_demo_03_prints_its_golden_offset_scans():
     # byte for byte: its scans are one engine call each, the members of which equal
     # one call per offset bit for bit

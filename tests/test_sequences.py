@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trispin.broadband import broadband_uzzz, build_swap13_broadband
-from trispin.engine import propagator_of
+from trispin.engine import propagator_of, total_duration
 from trispin.metrics import fidelity
 from trispin.pulseprog import HardPulse, WeakPulse, parse_program, serialize_program
 from trispin.sequences import (
@@ -17,7 +17,6 @@ from trispin.sequences import (
     build_uzzz,
     duration_scaling,
     geodesic_tau,
-    swap_duration_bookkeeping,
     theoretical_limit,
     weak_pulse_amplitude,
 )
@@ -70,12 +69,12 @@ def test_duration_table_at_kappa_one():
     assert ss["D"] == pytest.approx(2.0 / math.sqrt(3))
 
 
-def test_nominal_durations_match_formulas():
+def test_ideal_durations_match_formulas():
     for v in VARIANTS:
         for kappa in (0.2, 1.0, 1.8):
             tau_j, _ = duration_scaling(v, kappa)
             p = build_uzzz(v, kappa, J)
-            assert p.nominal_duration == pytest.approx(tau_j / J, rel=1e-12)
+            assert total_duration(p) == pytest.approx(tau_j / J, rel=1e-12)
 
 
 def test_scaling_duration_product_is_kappa():
@@ -129,14 +128,6 @@ def test_weak_pulse_amplitude_rejects_bad_input(kappa, j, field):
         weak_pulse_amplitude(kappa, j)
 
 
-def test_swap_duration_bookkeeping():
-    book = swap_duration_bookkeeping(88.0)
-    assert book["direct"] == pytest.approx(3.0 / 176.0)
-    assert book["conventional13"] == pytest.approx(9.0 / 176.0)
-    assert book["optimal13"] == pytest.approx(3.0 * math.sqrt(3) / 176.0)
-    assert 1e3 * book["optimal13"] == pytest.approx(29.5, abs=0.05)
-
-
 def test_input_validation():
     with pytest.raises(ValueError):
         build_uzzz("E", 1.0, J)
@@ -150,7 +141,7 @@ def test_input_validation():
 
 @pytest.mark.parametrize("j", [math.nan, math.inf, -math.inf, 0.0, -88.0])
 def test_coupling_must_be_finite_and_positive(j):
-    for build in (lambda: build_uzzz("D", 1.0, j), lambda: swap_duration_bookkeeping(j)):
+    for build in (lambda: build_uzzz("D", 1.0, j), lambda: build_swap13("A", 1.0, j)):
         with pytest.raises(ValueError, match=f"coupling J must be positive and finite, got {j}"):
             build()
 

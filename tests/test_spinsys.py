@@ -61,13 +61,20 @@ def test_acetamide_parameters():
 
 
 def test_rf_hamiltonian_phase_and_amplitude():
-    h = rf_hamiltonian((1,), 10.0, 0.0)
-    assert np.allclose(h, 2 * np.pi * 10.0 * spin_operator(1, "x"), atol=1e-12)
-    h = rf_hamiltonian((2, 3), 5.0, np.pi / 2)
-    expected = 2 * np.pi * 5.0 * (spin_operator(2, "y") + spin_operator(3, "y"))
-    assert np.allclose(h, expected, atol=1e-12)
+    h = rf_hamiltonian((1,), 10.0)
+    assert h.dtype == np.float64
+    assert np.array_equal(h, 2 * np.pi * 10.0 * spin_operator(1, "x").real)
+    # the phase is a z-rotation of the phase-0 term: exp(-i phi Fz) H exp(i phi Fz),
+    # Fz = I1z + I2z + I3z, is the term along Ix cos(phi) + Iy sin(phi)
+    h = rf_hamiltonian((2, 3), 5.0)
+    fz = sum(spin_operator(k, "z") for k in (1, 2, 3))
+    for phi in (np.pi / 2, 0.3, -2.0):
+        turn = expm_generator(fz, phi)
+        expected = 2 * np.pi * 5.0 * sum(spin_operator(k, "x") * np.cos(phi) + spin_operator(k, "y") * np.sin(phi)
+                                         for k in (2, 3))
+        assert np.allclose(turn @ h @ turn.conj().T, expected, atol=1e-12)
     with pytest.raises(ValueError):
-        rf_hamiltonian((), 1.0, 0.0)
+        rf_hamiltonian((), 1.0)
 
 
 def test_trilinear_targets_commute_pairwise():
