@@ -29,15 +29,14 @@ from .pulseprog import (
 )
 from .sequences import (
     VARIANTS,
-    build_swap13,
     build_uzzz,
+    compose_swap13,
     duration_scaling,
     theoretical_limit,
     weak_pulse_amplitude,
 )
 from .broadband import (
     broadband_uzzz,
-    build_swap13_broadband,
     dante_discretize,
     default_dante_n,
     eliminate_z_rotations,

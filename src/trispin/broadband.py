@@ -18,12 +18,13 @@ continuous pulse as the segment count grows.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import replace
 from numbers import Integral
 
 from .engine import MAX_GRID_POINTS
 from .pulseprog import TWO_PI, Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, join
-from .sequences import _check_kappa, build_uzzz, compose_swap13, geodesic_tau
+from .sequences import _check_kappa, build_uzzz, geodesic_tau
 
 _X = 0.0
 # the refocusing pi(1,2,3) pulses in turn (x, -x, -x, x), one object per phase; their count divides every DANTE n
@@ -91,10 +92,10 @@ def refocus_offsets(p: PulseProgram) -> PulseProgram:
     return join(out, f"{p.label}-bb", p.kappa, meta)
 
 
-def _dante_train(p: PulseProgram, n: int, label: str, transform: str,
-                 refocus: bool = False) -> PulseProgram:
-    """p with its one weak pulse replaced by an n-segment DANTE train; the
-    result is labelled label and records ("transform", transform) in its meta.
+def _dante_train(p: PulseProgram, n: int, refocus: bool = False) -> PulseProgram:
+    """p with its one weak pulse replaced by an n-segment DANTE train: labelled
+    <label>-dante with ("transform", "dante-n<n>") in its meta, or with refocus
+    <label>-bb with ("transform", "broadband-geodesic-n<n>").
 
     Each segment is delay/2 - sub-pulse - delay/2, a midpoint discretization
     of the simultaneous rf + coupling evolution. With refocus, a refocusing
@@ -122,13 +123,14 @@ def _dante_train(p: PulseProgram, n: int, label: str, transform: str,
     # toggling frame is even (n is a multiple of 4), so they pass unchanged
     at = p.events.index(wp)
     head, tail = PulseProgram(p.events[:at]), PulseProgram(p.events[at + 1:])
+    suffix, transform = ("bb", f"broadband-geodesic-n{n}") if refocus else ("dante", f"dante-n{n}")
     return join((head, *(PulseProgram(tuple(period)),) * (n // size), tail),
-                label, p.kappa, p.meta + (("transform", transform),))
+                f"{p.label}-{suffix}", p.kappa, p.meta + (("transform", transform),))
 
 
 def dante_discretize(p: PulseProgram, n: int) -> PulseProgram:
     """Replace the geodesic weak pulse by n hard sub-pulses and n sub-delays."""
-    return _dante_train(p, n, f"{p.label}-dante", f"dante-n{n}")
+    return _dante_train(p, n)
 
 
 def broadband_uzzz(v: str, kappa: float, j: float, n: int | None = None,
@@ -154,13 +156,7 @@ def broadband_uzzz(v: str, kappa: float, j: float, n: int | None = None,
     n = default_dante_n(kappa) if n is None else n
     if not sparse_pi:
         return refocus_offsets(dante_discretize(p, n))
-    return _dante_train(p, n, f"{p.label}-bb", f"broadband-geodesic-n{n}", refocus=True)
-
-
-def build_swap13_broadband(v: str, kappa: float, j: float, n: int | None = None,
-                           sparse_pi: bool = False) -> PulseProgram:
-    """SWAP(1,3) composition with each trilinear block offset-refocused."""
-    return compose_swap13(broadband_uzzz(v, kappa, j, n, sparse_pi), f"swap13-{v}-bb", float(kappa))
+    return _dante_train(p, n, refocus=True)
 
 
 def emulate_selective_pulse(target: int, phase: float, dnu13: float) -> PulseProgram:
@@ -174,6 +170,10 @@ def emulate_selective_pulse(target: int, phase: float, dnu13: float) -> PulsePro
     an explicit ZRotation event (to be absorbed later by phase bookkeeping).
     The target-3 variant flips the phase of the final 90 by 180 degrees.
     """
+    try:  # an int, as every spin index: True is spin 1, and 1.0 no spin index
+        target = operator.index(target)
+    except TypeError:
+        raise ValueError(f"target must be an integer spin index, got {target!r}") from None
     if target not in (1, 3):
         raise ValueError(f"selective emulation targets spin 1 or 3, got {target}")
     if not math.isfinite(dnu13) or dnu13 == 0:

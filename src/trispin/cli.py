@@ -156,7 +156,7 @@ def _verify_swap(j: float):
     yield "trilinear product vs permutation", 1.0 - metrics.fidelity(prod, swap13_target()), 1e-10
     for a, b, name in ((uz, uy, "zzz/yzy"), (uz, ux, "zzz/xzx"), (uy, ux, "yzy/xzx")):
         yield f"commutator {name}", float(np.max(np.abs(a @ b - b @ a))), 1e-10
-    swaps = (sequences.build_swap13(v, 1.0, j) for v in sequences.VARIANTS)
+    swaps = (sequences.compose_swap13(sequences.build_uzzz(v, 1.0, j)) for v in sequences.VARIANTS)
     for v, u in zip(sequences.VARIANTS, propagator_stacks(swaps, ideal_chain(j))):
         yield f"swap13 {v} fidelity", 1.0 - metrics.fidelity(u[0], swap13_target()), 1e-9
 

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .broadband import build_swap13_broadband, default_dante_n
+from .broadband import broadband_uzzz, default_dante_n
 from .engine import IDEAL, SimulationSettings, evolve_many
-from .sequences import VARIANTS, _check_j, build_swap13, duration_scaling, theoretical_limit
+from .sequences import VARIANTS, _check_j, build_uzzz, compose_swap13, duration_scaling, theoretical_limit
 from .spinsys import SpinSystem, spin_operator
 
 I1X_NORM = 2.0  # Tr(I1x I1x) in the 8-dimensional space
@@ -59,7 +59,7 @@ def eta_curve(v: str, kappas, sys: SpinSystem,
     # kappa, so the curve is not rippled by per-point discretization jumps;
     # with finite pulses the sparse pi placement keeps the pulse load sane
     n, sparse_pi = default_dante_n(max(kappas)), settings.mode == "realistic"
-    programs = (build_swap13_broadband(v, kappa, j, n, sparse_pi) if broadband else build_swap13(v, kappa, j)
+    programs = (compose_swap13(broadband_uzzz(v, kappa, j, n, sparse_pi) if broadband else build_uzzz(v, kappa, j))
                 for kappa in kappas)  # lazily: the engine holds one lowering chunk of them at a time
     rhos = evolve_many(spin_operator(1, "x"), programs, sys, settings)
     return [(tau, transfer_efficiency(rho)) for tau, rho in zip((3 * tau_j / j).tolist(), rhos)]

@@ -171,19 +171,16 @@ _SWAP_MID = PulseProgram((HardPulse(frozenset({1, 3}), _D90, _Y),
 _SWAP_TAIL = PulseProgram((HardPulse(frozenset({1, 3}), -_D90, _X),))
 
 
-def compose_swap13(core: PulseProgram, label: str, kappa: float) -> PulseProgram:
+def compose_swap13(core: PulseProgram) -> PulseProgram:
     """Indirect SWAP(1,3) program: U_zzz U_yzy U_xzx exp{+i pi/2 I2z}.
 
-    core is one U_zzz block. Each trilinear factor is an axis-change
-    conjugation (90-degree rotations on spins 1 and 3) around it; at kappa = 1
-    the propagator equals the spin-1<->3 permutation up to global phase. The
-    three copies of the core are the same leaf objects (PulseProgram.parts),
-    so the engine multiplies the core's events once.
+    core is one U_zzz block, ideal, broadband or user-built; the SWAP is
+    labelled swap13-<core label> and takes the core's kappa. Each trilinear
+    factor is an axis-change conjugation (90-degree rotations on spins 1 and
+    3) around it; at kappa = 1 the propagator equals the spin-1<->3
+    permutation up to global phase. The three copies of the core are the same
+    leaf objects (PulseProgram.parts), so the engine multiplies the core's
+    events once.
     """
     parts = (_SWAP_HEAD, core, _SWAP_MID, core, _SWAP_TAIL, core)
-    return join(parts, label, kappa)  # the last core is U_zzz
-
-
-def build_swap13(v: str, kappa: float, j: float) -> PulseProgram:
-    """Indirect SWAP(1,3) program around the variant's ideal U_zzz block."""
-    return compose_swap13(build_uzzz(v, kappa, j), f"swap13-{v}", float(kappa))
+    return join(parts, f"swap13-{core.label}", core.kappa)  # the last core is U_zzz

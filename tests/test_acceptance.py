@@ -14,7 +14,7 @@ from trispin.engine import IDEAL, SimulationSettings, evolve_many, propagator_of
 from trispin.linalg import expm_generator
 from trispin.metrics import eta_curve, fidelity, transfer_efficiency
 from trispin.pulseprog import Delay, ZRotation
-from trispin.sequences import VARIANTS, build_swap13, build_uzzz, duration_scaling
+from trispin.sequences import VARIANTS, build_uzzz, compose_swap13, duration_scaling
 from trispin.spinsys import SpinSystem, acetamide, ideal_chain, spin_operator, target_trilinear
 
 J = 88.0
@@ -85,7 +85,7 @@ def test_criterion_6_swap_state_transfer():
          spin_operator(3, "x") + 2.0 * spin_operator(2, "z") @ spin_operator(1, "x")),
     ]
     for v in VARIANTS:
-        p = build_swap13(v, 1.0, J)
+        p = compose_swap13(build_uzzz(v, 1.0, J))
         for rho0, expected in states:
             rho = next(evolve_many(rho0, (p,), CHAIN))
             assert np.max(np.abs(rho - expected)) < 1e-9

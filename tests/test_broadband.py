@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from trispin.broadband import (
     broadband_uzzz,
-    build_swap13_broadband,
     dante_discretize,
     default_dante_n,
     eliminate_z_rotations,
@@ -19,7 +18,7 @@ from trispin.linalg import expm_generator
 from trispin.metrics import fidelity
 from trispin.pulseprog import (Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, join,
                                serialize_program)
-from trispin.sequences import build_swap13, build_uzzz, compose_swap13
+from trispin.sequences import build_uzzz, compose_swap13
 from trispin.spinsys import SpinSystem, ideal_chain, spin_operator, swap13_target, target_trilinear
 
 J = 88.0
@@ -145,24 +144,33 @@ def test_broadband_geodesic_sparse_layout():
     assert len(pis) == 64  # one pi group per segment
 
 
-@pytest.mark.parametrize("build, label, kappa", [
-    *((lambda v=v: build_swap13(v, 0.7, J), f"swap13-{v}", 0.7) for v in "ABCD"),
-    *((lambda v=v: build_swap13_broadband(v, 0.7, J), f"swap13-{v}-bb", 0.7) for v in "ABCD"),
-    (lambda: build_swap13_broadband("D", 0.7, J, 16, sparse_pi=True), "swap13-D-bb", 0.7),
-    (lambda: build_swap13_broadband("D", 0.0, J, sparse_pi=True),
-     "swap13-D-bb", 0.0),
+# each kind of core: ideal, dense broadband, sparse broadband and a user join;
+# the case names are the test ids, and each SWAP is labelled by its core
+@pytest.mark.parametrize("build, case, kappa", [
+    *((lambda v=v: build_uzzz(v, 0.7, J), f"swap13-{v}", 0.7) for v in "ABCD"),
+    *((lambda v=v: broadband_uzzz(v, 0.7, J), f"swap13-{v}-bb", 0.7) for v in "ABCD"),
+    (lambda: broadband_uzzz("D", 0.7, J, 16, sparse_pi=True), "swap13-D-bb", 0.7),
+    (lambda: broadband_uzzz("D", 0.0, J, sparse_pi=True), "swap13-D-bb", 0.0),
     # a core of two equal leaves that are distinct objects keeps them distinct
-    (lambda: compose_swap13(join((PulseProgram((Delay(1e-3),)), PulseProgram((Delay(1e-3),)))),
-                            "x", 1.0),
-     "x", 1.0),
+    (lambda: join((PulseProgram((Delay(1e-3),)), PulseProgram((Delay(1e-3),))), "x", 1.0), "x", 1.0),
 ])
-def test_swap_repeats_one_core(build, label, kappa):
-    p = build()
-    assert (p.label, p.kappa, p.meta) == (label, kappa, ())  # the core's meta is not kept
+def test_swap_repeats_one_core(build, case, kappa):
+    core = build()
+    p = compose_swap13(core)
+    assert (p.label, p.kappa, p.meta) == (f"swap13-{core.label}", kappa, ())  # the core's meta is not kept
     head, core, mid, second, tail, third = p.parts  # a joined core stays one part
     assert core is second is third
     assert p.events == head.events + core.events + mid.events + core.events + tail.events + core.events
     assert core.events == sum((part.events for part in core.parts or (core,)), ())
+
+
+def test_swap_labels_tell_the_d_cores_apart():
+    cores = (build_uzzz("D", 0.7, J), broadband_uzzz("D", 0.7, J, 16),
+             broadband_uzzz("D", 0.7, J, 16, sparse_pi=True), join((PulseProgram((Delay(1e-3),)),)))
+    labels = [compose_swap13(core).label for core in cores]
+    assert labels == ["swap13-uzzz-D", "swap13-uzzz-D-dante-bb", "swap13-uzzz-D-bb", "swap13-"]
+    # the dense and sparse broadband SWAPs are different programs
+    assert compose_swap13(cores[1]).events != compose_swap13(cores[2]).events
 
 
 @pytest.mark.parametrize("scheme, periods", [
@@ -289,7 +297,7 @@ def test_dense_broadband_core_keeps_the_train_structure():
 @pytest.mark.parametrize("v", ["A", "C"])
 def test_broadband_swap_of_a_flat_core_has_six_parts(v):
     # the core is one part: a join of A's refocused leaf, or of C's and its compensating pi
-    p = build_swap13_broadband(v, 0.7, J, sparse_pi=True)
+    p = compose_swap13(broadband_uzzz(v, 0.7, J, sparse_pi=True))
     assert len(p.parts) == 6 and len({id(leaf) for leaf in p.parts}) == 4
     assert p.parts[1] is p.parts[3] is p.parts[5]
 
@@ -318,7 +326,7 @@ def test_default_dante_n_is_the_same_for_every_j(kappa, n):
 
 
 def test_swap13_broadband_offsets():
-    p = build_swap13_broadband("C", 1.0, J)
+    p = compose_swap13(broadband_uzzz("C", 1.0, J))
     assert fidelity(propagator_of(p, OFFSET_SYS), swap13_target()) >= 1.0 - 1e-6
 
 
@@ -352,9 +360,18 @@ def test_selective_pulse_spectator_residue_is_documented():
     assert zrots == [ZRotation(3, -math.pi)]
 
 
+@pytest.mark.parametrize("target, spin", [(True, 1), (np.int64(3), 3)])
+def test_selective_pulse_target_is_a_spin_index(target, spin):
+    p = emulate_selective_pulse(target, 0.0, 358.0)
+    assert p.label == f"sel180-spin{spin}"
+    assert p.events == emulate_selective_pulse(spin, 0.0, 358.0).events
+
+
 def test_selective_pulse_validation():
     with pytest.raises(ValueError):
         emulate_selective_pulse(2, 0.0, 358.0)
+    with pytest.raises(ValueError, match=r"^target must be an integer spin index, got 1\.0$"):
+        emulate_selective_pulse(1.0, 0.0, 358.0)
     with pytest.raises(ValueError):
         emulate_selective_pulse(1, 0.0, 0.0)
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trispin import cli, engine
-from trispin.broadband import build_swap13_broadband, default_dante_n
+from trispin.broadband import broadband_uzzz, default_dante_n
 from trispin.engine import (
     IDEAL,
     SimulationSettings,
@@ -24,7 +24,7 @@ from trispin.engine import (
 from trispin.linalg import expm_eigh, expm_generator, unitarity_defect
 from trispin.metrics import eta_curve, fidelity, transfer_efficiency
 from trispin.pulseprog import Delay, HardPulse, PulseProgram, WeakPulse, ZRotation, join
-from trispin.sequences import build_swap13, build_uzzz, duration_scaling
+from trispin.sequences import build_uzzz, compose_swap13, duration_scaling
 from trispin.spinsys import (
     SpinSystem,
     acetamide,
@@ -54,7 +54,7 @@ def test_single_delay_matches_direct_expm():
 @pytest.mark.parametrize("settings", [IDEAL, REALISTIC])
 def test_propagator_is_unitary(settings):
     for v in ("A", "B", "C", "D"):
-        u = propagator_of(build_swap13(v, 1.0, J), SYS, settings)
+        u = propagator_of(compose_swap13(build_uzzz(v, 1.0, J)), SYS, settings)
         assert unitarity_defect(u) < 1e-9
 
 
@@ -68,21 +68,21 @@ def test_join_homomorphism():
 
 def test_ideal_mode_ignores_rf_amplitudes():
     weird = SimulationSettings(rf_proton=1.0, rf_hetero=2.0)
-    p = build_swap13("C", 1.0, J)
+    p = compose_swap13(build_uzzz("C", 1.0, J))
     assert np.allclose(propagator_of(p, SYS, weird), propagator_of(p, SYS, IDEAL))
 
 
 def test_evolve_preserves_trace_and_hermiticity():
     rho0 = spin_operator(1, "x") + np.eye(8) / 8.0
     for settings in (IDEAL, REALISTIC):
-        rho = next(evolve_many(rho0, (build_swap13("D", 1.0, J),), SYS, settings))
+        rho = next(evolve_many(rho0, (compose_swap13(build_uzzz("D", 1.0, J)),), SYS, settings))
         assert abs(np.trace(rho) - np.trace(rho0)) < 1e-10
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
 
 
 def test_evolve_identity_state_unchanged():
     rho0 = np.eye(8, dtype=complex) / 8.0
-    rho = next(evolve_many(rho0, (build_swap13("A", 1.0, J),), SYS, REALISTIC))
+    rho = next(evolve_many(rho0, (compose_swap13(build_uzzz("A", 1.0, J)),), SYS, REALISTIC))
     assert np.max(np.abs(rho - rho0)) < 1e-10
 
 
@@ -234,7 +234,7 @@ def test_narrowband_d_fails_off_resonance():
 @pytest.mark.parametrize("channel", ["1H", "15N"])
 @pytest.mark.parametrize("points", [11, 101])  # 101 members are lowered in two member slices
 def test_offset_scan_equals_the_per_point_propagators(settings, channel, points):
-    p = build_swap13_broadband("D", 1.0, J, 8, sparse_pi=True)
+    p = compose_swap13(broadband_uzzz("D", 1.0, J, 8, sparse_pi=True))
     offsets = [2000.0 * i / (points - 1) - 1000.0 for i in range(points)]
     shifted = [acetamide().shifted(channel, o) for o in offsets]
     (stack,) = propagator_stacks((p,), shifted, settings)
@@ -248,7 +248,7 @@ def test_a_list_of_systems_equals_one_call_per_system():
     # each member carries every diagonal term of H0: couplings as well as offsets
     systems = [acetamide(), SpinSystem(88.8, 85.0, 2.9, 120.0, -250.0, 410.0), SpinSystem(91.0, 86.0, 0.0)]
     assert len({(s.j12, s.j23, s.j13) for s in systems}) == 3 and all(s.j12 != s.j23 for s in systems)
-    programs = [build_swap13_broadband(v, 0.8, J, 16, True) for v in "ACD"]
+    programs = [compose_swap13(broadband_uzzz(v, 0.8, J, 16, True)) for v in "ACD"]
     for settings in (IDEAL, REALISTIC):
         for scales in ((1.0,), (0.95, 1.0, 1.05)):  # one scale broadcasts; three pair with the systems
             stacks = list(propagator_stacks(programs, systems, settings, scales))
@@ -265,7 +265,7 @@ def test_systems_and_scales_of_other_lengths_are_rejected_naming_both(n_sys, n_r
 
 
 def test_one_system_in_a_list_is_the_single_system_call():
-    p = build_swap13_broadband("D", 0.8, J, 16, True)
+    p = compose_swap13(broadband_uzzz("D", 0.8, J, 16, True))
     scales, _ = ensemble_scales(REALISTIC)
     for settings in (IDEAL, REALISTIC):
         assert np.array_equal(next(propagator_stacks((p,), [acetamide()], settings, scales)),
@@ -432,7 +432,7 @@ def test_one_real_eigh_per_pulse_generator(monkeypatch):
     eta_curve("D", kappas, sys, REALISTIC)
     j = 0.5 * (sys.j12 + sys.j23)
     n = default_dante_n(max(kappas))
-    pulses = {ev for kappa in kappas for ev in build_swap13_broadband("D", kappa, j, n, True).events
+    pulses = {ev for kappa in kappas for ev in compose_swap13(broadband_uzzz("D", kappa, j, n, True)).events
               if isinstance(ev, HardPulse) and ev.flip != 0.0}
     # a finite hard pulse's generator depends on its targets only: spin 2 (the
     # DANTE sub-pulses, V_D and W), spins 1 and 3 (the SWAP frame) and all three (the pis)
@@ -450,7 +450,7 @@ def test_a_d_swap_forms_its_core_product_once(monkeypatch):
         return real(terms)
 
     monkeypatch.setattr(engine, "_chain", counting)
-    p = build_swap13_broadband("D", 0.8, J, 16, sparse_pi=True)
+    p = compose_swap13(broadband_uzzz("D", 0.8, J, 16, sparse_pi=True))
     head, core, mid, _, tail, _ = p.parts
     assert len(core.parts) == 6 and all(period is core.parts[1] for period in core.parts[1:5])
     leaves = {id(leaf): leaf for leaf in (head, mid, tail, *core.parts)}.values()
@@ -471,7 +471,7 @@ def test_a_swap_chunk_chains_each_frame_leaf_once(monkeypatch):
         return real(terms)
 
     monkeypatch.setattr(engine, "_chain", counting)
-    swaps = [build_swap13("B", kappa, J) for kappa in (0.2, 0.7, 1.1, 1.6, 2.0)]
+    swaps = [compose_swap13(build_uzzz("B", kappa, J)) for kappa in (0.2, 0.7, 1.1, 1.6, 2.0)]
     frames = [swaps[0].parts[i] for i in (0, 2, 4)]
     assert [len(f.events) for f in frames] == [2, 2, 1]
     assert len(list(propagator_stacks(swaps, SYS))) == len(swaps)  # one chunk at one scale
@@ -496,7 +496,7 @@ def test_one_part_blocks_and_one_event_leaves_propagate_unchanged():
 def _sweep_equals_points_one_at_a_time(settings, scales):
     size = engine._CHUNK_MEMBERS // len(scales)  # programs per chunk
     kappas = [2.0 * i / (2 * size + 2) for i in range(2 * size + 3)]  # 2 chunks and 3 programs
-    programs = [build_swap13_broadband("C", k, J) for k in kappas]
+    programs = [compose_swap13(broadband_uzzz("C", k, J)) for k in kappas]
     stacks = list(propagator_stacks(programs, acetamide(), settings, scales))
     assert len(stacks) == len(programs)
     for p, stack in zip(programs, stacks):
@@ -540,7 +540,7 @@ def test_realistic_d_sweep_matches_per_point_evolve_loop():
     curve = eta_curve("D", kappas, sys, REALISTIC)
     assert len(curve) == len(kappas)
     for kappa, (tau, eta) in zip(kappas, curve):
-        p = build_swap13_broadband("D", kappa, j, n, sparse_pi=True)
+        p = compose_swap13(broadband_uzzz("D", kappa, j, n, sparse_pi=True))
         assert tau == 3 * duration_scaling("D", kappa)[0] / j  # the closed form
         assert total_duration(p) == pytest.approx(tau, rel=1e-14)
         rho = evolve_loop(spin_operator(1, "x"), p, sys, REALISTIC)
@@ -548,7 +548,7 @@ def test_realistic_d_sweep_matches_per_point_evolve_loop():
 
 
 def test_empty_scale_grid_gives_empty_stacks():
-    p = build_swap13("A", 1.0, J)
+    p = compose_swap13(build_uzzz("A", 1.0, J))
     assert next(propagator_stacks((p,), SYS, REALISTIC, ())).shape == (0, 8, 8)
 
 
@@ -628,7 +628,7 @@ def test_a_deep_chain_of_pairwise_joins_propagates():
 
 @pytest.mark.parametrize("settings", [IDEAL, REALISTIC])
 def test_replace_flattens_and_keeps_the_propagator(settings):
-    p = build_swap13_broadband("D", 0.8, J, 16, sparse_pi=True)
+    p = compose_swap13(broadband_uzzz("D", 0.8, J, 16, sparse_pi=True))
     flat = replace(p, label="renamed")
     assert p.parts and flat.parts == () and flat.events == p.events
     scales, _ = ensemble_scales(settings)

@@ -5,7 +5,7 @@ import pytest
 
 from trispin.engine import IDEAL, SimulationSettings, evolve_many, propagator_stacks
 from trispin.metrics import eta_curve, fidelity, fig2_tables, transfer_efficiency
-from trispin.sequences import VARIANTS, build_swap13, build_uzzz
+from trispin.sequences import VARIANTS, build_uzzz, compose_swap13
 from trispin.spinsys import acetamide, ideal_chain, spin_operator, target_trilinear
 
 J = 88.0
@@ -20,7 +20,7 @@ def test_transfer_efficiency_endpoints():
 
 @pytest.mark.parametrize("v", VARIANTS)
 def test_ideal_swap_transfer_is_unity(v):
-    rho = next(evolve_many(spin_operator(1, "x"), (build_swap13(v, 1.0, J),), SYS))
+    rho = next(evolve_many(spin_operator(1, "x"), (compose_swap13(build_uzzz(v, 1.0, J)),), SYS))
     assert transfer_efficiency(rho) == pytest.approx(1.0, abs=1e-9)
 
 

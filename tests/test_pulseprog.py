@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import serialize_loop
 from trispin import pulseprog
-from trispin.broadband import broadband_uzzz, build_swap13_broadband, refocus_offsets
+from trispin.broadband import broadband_uzzz, refocus_offsets
 from trispin.engine import SimulationSettings, propagator_of, total_duration
 from trispin.pulseprog import (
     Delay,
@@ -23,7 +23,7 @@ from trispin.pulseprog import (
     join,
     serialize_program,
 )
-from trispin.sequences import VARIANTS, build_swap13, build_uzzz
+from trispin.sequences import VARIANTS, build_uzzz, compose_swap13
 from trispin.spinsys import ideal_chain
 
 
@@ -136,8 +136,8 @@ def test_non_finite_event_fields_rejected(make, field):
 
 @pytest.mark.parametrize("v", VARIANTS)
 def test_round_trip_is_a_fixpoint(v):
-    for builder in (build_uzzz, build_swap13):
-        p = builder(v, 1.3, 88.0)
+    core = build_uzzz(v, 1.3, 88.0)
+    for p in (core, compose_swap13(core)):
         text = serialize_program(p)
         assert serialize_program(parse_program(text)) == text
 
@@ -339,12 +339,12 @@ def _builder_outputs():
     for v in VARIANTS:
         for kappa in (0.0, 0.5, 1.0, 2.0):
             yield build_uzzz(v, kappa, 88.0)
-            yield build_swap13(v, kappa, 88.0)
+            yield compose_swap13(build_uzzz(v, kappa, 88.0))
             for n in ((4, 64, 256) if v == "D" else (None,)):
                 for sparse in (False, True):
                     yield broadband_uzzz(v, kappa, 88.0, n, sparse)
-                    yield build_swap13_broadband(v, kappa, 88.0, n, sparse)
-    yield refocus_offsets(build_swap13("C", 0.0, 88.0))
+                    yield compose_swap13(broadband_uzzz(v, kappa, 88.0, n, sparse))
+    yield refocus_offsets(compose_swap13(build_uzzz("C", 0.0, 88.0)))
 
 
 def test_text_and_parsed_programs_of_every_builder_are_pinned():
@@ -354,19 +354,19 @@ def test_text_and_parsed_programs_of_every_builder_are_pinned():
         text = serialize_program(p)
         digest.update(text.encode())
         digest.update(repr(parse_program(text)).encode())
-    assert digest.hexdigest() == "6d8001431b4840654fafa110dcc91e40c21a59ed221d4c31ec120bba36a43880"
+    assert digest.hexdigest() == "13199c675f187da24959dede587f515beec07bd8be1479a0830cfdf8f39c747e"
 
 
 def test_repr_and_text_of_every_builder_output_are_pinned():
     # captured before joins nested; the refocused SWAPs map nested parts
-    extra = [refocus_offsets(build_swap13(v, 0.7, 88.0)) for v in "ABC"]
-    extra += [refocus_offsets(build_swap13_broadband("D", 0.7, 88.0, 16, s))
+    extra = [refocus_offsets(compose_swap13(build_uzzz(v, 0.7, 88.0))) for v in "ABC"]
+    extra += [refocus_offsets(compose_swap13(broadband_uzzz("D", 0.7, 88.0, 16, s)))
               for s in (False, True)]
     digest = hashlib.sha256()
     for p in [*_builder_outputs(), *extra]:
         digest.update(repr(p).encode())
         digest.update(serialize_program(p).encode())
-    assert digest.hexdigest() == "5e38d863ebb6a9ee5335a97bd97cae2d650263d1878a4ef5a19aebf1b49dd6e4"
+    assert digest.hexdigest() == "5f6c9dde39402daac84e4ead5662b041a7c6ecbe1711c51826de8479d6ed9b58"
 
 
 @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
@@ -381,7 +381,7 @@ def test_non_finite_program_kappa_rejected(kappa):
 
 
 def test_signed_zeros_of_equal_events_keep_their_own_text():
-    p = refocus_offsets(build_swap13("C", 0.0, 88.0))
+    p = refocus_offsets(compose_swap13(build_uzzz("C", 0.0, 88.0)))
     lines = serialize_program(p).splitlines()
     assert "zrot target=2 angle=-0.0" in lines
     assert "zrot target=2 angle=0.0" in lines

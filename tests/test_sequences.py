@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from trispin.broadband import broadband_uzzz, build_swap13_broadband
+from trispin.broadband import broadband_uzzz
 from trispin.engine import propagator_of, total_duration
 from trispin.metrics import fidelity
-from trispin.pulseprog import HardPulse, WeakPulse, parse_program, serialize_program
+from trispin.pulseprog import (HardPulse, PulseProgram, WeakPulse, ZRotation, join, parse_program,
+                               serialize_program)
 from trispin.sequences import (
     VARIANTS,
-    build_swap13,
     build_uzzz,
+    compose_swap13,
     duration_scaling,
     geodesic_tau,
     theoretical_limit,
@@ -35,7 +36,7 @@ def test_uzzz_identity(v, kappa):
 
 @pytest.mark.parametrize("v", VARIANTS)
 def test_swap13_identity(v):
-    u = propagator_of(build_swap13(v, 1.0, J), SYS)
+    u = propagator_of(compose_swap13(build_uzzz(v, 1.0, J)), SYS)
     assert fidelity(u, swap13_target()) >= 1.0 - 1e-9
 
 
@@ -50,8 +51,9 @@ def test_fixed_pulses_are_shared_objects(v, fixed):
 
 @pytest.mark.parametrize("v", VARIANTS)
 def test_swap_frames_are_shared_leaves(v):
-    swaps = [build_swap13(v, 0.4, J), build_swap13(v, 1.3, J), build_swap13(v, 1.0, 60.0),
-             build_swap13_broadband(v, 0.7, J, 16, sparse_pi=True)]
+    cores = [build_uzzz(v, 0.4, J), build_uzzz(v, 1.3, J), build_uzzz(v, 1.0, 60.0),
+             broadband_uzzz(v, 0.7, J, 16, sparse_pi=True)]
+    swaps = [compose_swap13(core) for core in cores]
     for i in (0, 2, 4):  # head, mid, tail
         assert all(s.parts[i] is swaps[0].parts[i] and not s.parts[i].parts for s in swaps)
 
@@ -109,6 +111,19 @@ def test_theoretical_limit_matches_d():
             duration_scaling("D", kappa), rel=1e-12)
 
 
+@pytest.mark.parametrize("v", VARIANTS)
+@pytest.mark.parametrize("kappa", [1.2, 1.5, 1.8, 2.0])
+def test_a_kappa_above_one_folds_onto_two_minus_kappa(v, kappa):
+    # up to global phases pi_x(1) U_zzz(x) pi_x(1) = U_zzz(-x) and U_zzz(2) is
+    # three pi z-rotations, so this is U_zzz(kappa) in the time of U_zzz(2 - kappa)
+    pi1 = HardPulse(frozenset({1}), math.pi, 0.0)
+    p = join((PulseProgram((pi1,)), build_uzzz(v, 2.0 - kappa, J),
+              PulseProgram((pi1, *(ZRotation(k, math.pi) for k in (1, 2, 3))))))
+    assert 1.0 - fidelity(propagator_of(p, SYS), target_trilinear("z", "z", "z", kappa)) <= 1e-12
+    if v == "D":  # folded, D meets the time-optimal bound on (1, 2] too
+        assert total_duration(p) == pytest.approx(theoretical_limit(kappa)[0] / J, rel=1e-12)
+
+
 def test_weak_pulse_amplitude():
     assert weak_pulse_amplitude(1.0, J) == pytest.approx(J / math.sqrt(3))
     assert weak_pulse_amplitude(2.0, J) == 0.0
@@ -141,9 +156,9 @@ def test_input_validation():
 
 @pytest.mark.parametrize("j", [math.nan, math.inf, -math.inf, 0.0, -88.0])
 def test_coupling_must_be_finite_and_positive(j):
-    for build in (lambda: build_uzzz("D", 1.0, j), lambda: build_swap13("A", 1.0, j)):
+    for v in ("D", "A"):
         with pytest.raises(ValueError, match=f"coupling J must be positive and finite, got {j}"):
-            build()
+            build_uzzz(v, 1.0, j)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.3, 1.0, 1.7, 2.0])
@@ -220,7 +235,7 @@ def test_closed_forms_name_the_first_bad_kappa(call, got):
 
 @pytest.mark.parametrize("v", VARIANTS)
 def test_programs_hold_python_numbers(v):
-    programs = [build_uzzz(v, 0.7, J), build_swap13(v, 1.0, J),
+    programs = [build_uzzz(v, 0.7, J), compose_swap13(build_uzzz(v, 1.0, J)),
                 broadband_uzzz(v, 0.7, J, 16)]
     events = [ev for p in programs for leaf in (p, *p.parts) for ev in leaf.events]
     assert not any(isinstance(getattr(ev, f.name), np.generic) for ev in events for f in fields(ev))
@@ -230,8 +245,9 @@ def test_programs_hold_python_numbers(v):
 @pytest.mark.parametrize("v", VARIANTS)
 def test_numpy_scalars_give_the_float_program_text(v):
     def texts(kappa, j):
-        return [serialize_program(p) for p in (build_uzzz(v, kappa, j), build_swap13(v, kappa, j),
-                                               build_swap13_broadband(v, kappa, j, np.int64(16)))]
+        core = build_uzzz(v, kappa, j)
+        return [serialize_program(p) for p in (core, compose_swap13(core),
+                                               compose_swap13(broadband_uzzz(v, kappa, j, np.int64(16))))]
     got = texts(np.float64(0.7), np.float64(J))
     assert got == texts(0.7, J)
     assert all(serialize_program(parse_program(text)) == text for text in got)
