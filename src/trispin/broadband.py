@@ -63,11 +63,9 @@ def _refocus_leaf(part: PulseProgram, start: int) -> tuple[PulseProgram, int]:
             count += 1
         elif isinstance(ev, HardPulse):
             events.append(HardPulse(ev.targets, ev.flip, (-ev.phase) % TWO_PI) if count % 2 else ev)
-        elif isinstance(ev, ZRotation):
-            events.append(ZRotation(ev.target, -ev.angle) if count % 2 else ev)
         else:
-            raise TypeError(f"unknown event type {type(ev).__name__}")
-    return PulseProgram(tuple(events)), count - start
+            events.append(ZRotation(ev.target, -ev.angle) if count % 2 else ev)
+    return PulseProgram(events), count - start
 
 
 def refocus_offsets(p: PulseProgram) -> PulseProgram:
@@ -124,7 +122,7 @@ def _dante_train(p: PulseProgram, n: int, refocus: bool = False) -> PulseProgram
     at = p.events.index(wp)
     head, tail = PulseProgram(p.events[:at]), PulseProgram(p.events[at + 1:])
     suffix, transform = ("bb", f"broadband-geodesic-n{n}") if refocus else ("dante", f"dante-n{n}")
-    return join((head, *(PulseProgram(tuple(period)),) * (n // size), tail),
+    return join((head, *(PulseProgram(period),) * (n // size), tail),
                 f"{p.label}-{suffix}", p.kappa, p.meta + (("transform", transform),))
 
 
@@ -191,7 +189,7 @@ def emulate_selective_pulse(target: int, phase: float, dnu13: float) -> PulsePro
         # phase on spin 3 (target 3): the same pi z-rotation either way
         ZRotation(3, -math.pi),
     ]
-    return PulseProgram(tuple(events), label=f"sel180-spin{target}")
+    return PulseProgram(events, label=f"sel180-spin{target}")
 
 
 def eliminate_z_rotations(p: PulseProgram) -> PulseProgram:
@@ -222,7 +220,7 @@ def eliminate_z_rotations(p: PulseProgram) -> PulseProgram:
         else:
             events.append(ev)
     meta = tuple((f"receiver-phase-spin{k}", repr(acc[k])) for k in (1, 2, 3) if acc[k] != 0.0)
-    return PulseProgram(tuple(events), label=p.label, kappa=p.kappa, meta=p.meta + meta)
+    return PulseProgram(events, label=p.label, kappa=p.kappa, meta=p.meta + meta)
 
 
 def receiver_phases(p: PulseProgram) -> dict[int, float]:

@@ -110,8 +110,6 @@ def _lower(ev, settings: SimulationSettings, h0: np.ndarray):
         return np.broadcast_to(ev.angle * IZ_DIAG[ev.target], h0.shape)
     if isinstance(ev, WeakPulse):
         return (1.0, ev.targets, ev.amplitude), ev.duration, ev.phase
-    if not isinstance(ev, HardPulse):
-        raise TypeError(f"unknown event type {type(ev).__name__}")
     phase = ev.phase + math.pi if ev.flip < 0 else ev.phase
     if settings.mode == "ideal":
         return (0.0, ev.targets, 1.0 / TWO_PI), abs(ev.flip), phase
@@ -213,7 +211,10 @@ def propagator_stacks(programs, sys, settings: SimulationSettings = IDEAL, scale
     max(1, _CHUNK_MEMBERS // M) programs at a time, in slices of _CHUNK_MEMBERS members."""
     systems = (sys,) if isinstance(sys, SpinSystem) else tuple(sys)
     h0 = np.reshape([free_hamiltonian(s) for s in systems], (-1, 8))  # (0, 8) for no system
-    rf_scales = np.asarray(scales, float) if settings.mode == "realistic" else np.ones(len(scales))
+    rf_scales = np.asarray(scales, float)
+    if rf_scales.ndim != 1 or not np.isfinite(rf_scales).all():  # in both modes, though ideal mode ignores them
+        raise ValueError(f"scales must be a 1-D sequence of finite numbers, got {rf_scales!r}")
+    rf_scales = rf_scales if settings.mode == "realistic" else np.ones(len(rf_scales))
     if len(rf_scales) != len(h0) and 1 not in (len(h0), len(rf_scales)):
         raise ValueError(f"sys and scales must broadcast to one member count, "
                          f"got {len(h0)} spin systems and {len(rf_scales)} rf scales")

@@ -121,6 +121,10 @@ class PulseProgram:
     parts: tuple = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        vars(self).update(events=tuple(self.events), meta=tuple(self.meta))  # so a list-built program hashes
+        if not set(map(type, self.events)) <= _WRITERS.keys():  # exact types: the text writes no subclass
+            raise ValueError("events must be HardPulse, WeakPulse, Delay or ZRotation objects, got "
+                             f"{next(ev for ev in self.events if type(ev) not in _WRITERS)!r}")
         if self.kappa is not None:
             if not math.isfinite(self.kappa):
                 raise ValueError(f"kappa must be finite, got {self.kappa!r}")
@@ -140,7 +144,7 @@ def join(programs, label: str = "", kappa: float | None = None, meta: tuple = ()
     """The programs in time order as one program with this label, kappa and meta.
     Its parts are the programs themselves, kept by identity, and its events theirs."""
     programs = tuple(programs)
-    out = PulseProgram(tuple(chain.from_iterable(p.events for p in programs)), label, kappa, meta)
+    out = PulseProgram(chain.from_iterable(p.events for p in programs), label, kappa, meta)
     object.__setattr__(out, "parts", programs)
     return out
 
@@ -269,12 +273,10 @@ def parse_program(text: str) -> PulseProgram:
         except ValueError as exc:
             message = "bad kappa value" if comment.startswith("# kappa:") else str(exc)
             raise ProgramSyntaxError(message, lineno) from None
-    return PulseProgram(tuple(events), label=label or "", kappa=kappa, meta=tuple(meta))
+    return PulseProgram(events, label=label or "", kappa=kappa, meta=meta)
 
 
 def _event_line(ev) -> str:
-    if type(ev) not in _WRITERS:
-        raise TypeError(f"unknown event type {type(ev).__name__}")
     template, formats = _WRITERS[type(ev)]
     return template % tuple([fmt(value) for fmt, value in zip(formats, vars(ev).values())])
 

@@ -128,8 +128,7 @@ def build_uzzz(v: str, kappa: float, j: float) -> PulseProgram:
     _check_kappa(kappa)
     _check_j(j)
     kappa, j = float(kappa), float(j)  # so no np.float64(...) reaches program text
-    events = _BUILDERS[v](kappa, j)
-    return PulseProgram(tuple(events), label=f"uzzz-{v}", kappa=kappa)
+    return PulseProgram(_BUILDERS[v](kappa, j), label=f"uzzz-{v}", kappa=kappa)
 
 
 def duration_scaling(v: str, kappa: float | np.ndarray) -> tuple:

@@ -264,6 +264,15 @@ def test_systems_and_scales_of_other_lengths_are_rejected_naming_both(n_sys, n_r
         next(propagator_stacks((PulseProgram(),), [SYS] * n_sys, REALISTIC, np.ones(n_rf)))
 
 
+@pytest.mark.parametrize("settings", [IDEAL, REALISTIC], ids=["ideal", "realistic"])
+@pytest.mark.parametrize("scales", [(math.nan,), (1.0, math.inf), [-math.inf], [[1.0, 2.0]], 1.0],
+                         ids=["nan", "inf", "minus-inf", "2-d", "scalar"])
+def test_scales_that_are_not_finite_or_not_1d_are_rejected_naming_scales(settings, scales):
+    p = compose_swap13(build_uzzz("A", 1.0, J))
+    with pytest.raises(ValueError, match=r"^scales must be a 1-D sequence of finite numbers, got array\("):
+        next(propagator_stacks((p,), SYS, settings, scales))
+
+
 def test_one_system_in_a_list_is_the_single_system_call():
     p = compose_swap13(broadband_uzzz("D", 0.8, J, 16, True))
     scales, _ = ensemble_scales(REALISTIC)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import builder_pins
 from oracles import serialize_loop
 from trispin import pulseprog
 from trispin.broadband import broadband_uzzz, refocus_offsets
@@ -329,44 +330,92 @@ def test_grammar_table_covers_exactly_the_event_types():
     assert {cls for cls, _ in pulseprog._KEYWORDS.values()} == set(_KEY_FIELDS)
 
 
-@pytest.mark.parametrize("ev", [object(), "delay 1ms", PulseProgram()], ids=["object", "str", "program"])
-def test_serializing_a_non_event_raises_type_error(ev):
-    with pytest.raises(TypeError, match=f"^unknown event type {type(ev).__name__}$"):
-        serialize_program(PulseProgram((ev,)))
+class _SubDelay(Delay):
+    """A Delay the text cannot write: its keyword belongs to Delay itself."""
+
+
+_NON_EVENTS = [object(), "delay 1ms", PulseProgram(), _SubDelay(1e-3)]
+
+
+@pytest.mark.parametrize("ev", _NON_EVENTS, ids=["object", "str", "program", "subclass"])
+def test_a_non_event_is_rejected_when_the_program_is_built(ev):
+    message = f"^events must be HardPulse, WeakPulse, Delay or ZRotation objects, got {re.escape(repr(ev))}$"
+    with pytest.raises(ValueError, match=message):
+        PulseProgram((ev,))
+    with pytest.raises(ValueError, match=message):
+        PulseProgram([Delay(1e-3), ev, "a later non-event"])
+
+
+def test_a_program_stores_its_events_and_meta_as_tuples():
+    p = PulseProgram([Delay(1e-3)], meta=[("k", "v")])
+    q = PulseProgram((Delay(1e-3),), meta=(("k", "v"),))
+    assert type(p.events) is tuple and type(p.meta) is tuple
+    assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+    assert PulseProgram(iter([Delay(1e-3)])).events == (Delay(1e-3),)
+
+
+_NON_EVENT = st.one_of(st.none(), st.integers(), st.text(max_size=8), st.builds(object),
+                       st.builds(_SubDelay, _DURATION), _EVENT.map(lambda ev: PulseProgram((ev,))))
+
+
+@given(st.lists(st.one_of(_EVENT, _NON_EVENT), max_size=12))
+def test_a_program_is_built_if_and_only_if_it_holds_only_events(items):
+    strays = [x for x in items if type(x) not in (HardPulse, WeakPulse, Delay, ZRotation)]
+    if not strays:
+        assert PulseProgram(items).events == tuple(items)
+        return
+    with pytest.raises(ValueError, match=f"^events must be .*, got {re.escape(repr(strays[0]))}$"):
+        PulseProgram(items)
 
 
 def _builder_outputs():
+    """Each builder output at J = 88, named by the call that built it, as in builder_pins."""
     for v in VARIANTS:
         for kappa in (0.0, 0.5, 1.0, 2.0):
-            yield build_uzzz(v, kappa, 88.0)
-            yield compose_swap13(build_uzzz(v, kappa, 88.0))
+            yield f"build_uzzz({v!r}, {kappa})", build_uzzz(v, kappa, 88.0)
+            yield f"compose_swap13(build_uzzz({v!r}, {kappa}))", compose_swap13(build_uzzz(v, kappa, 88.0))
             for n in ((4, 64, 256) if v == "D" else (None,)):
                 for sparse in (False, True):
-                    yield broadband_uzzz(v, kappa, 88.0, n, sparse)
-                    yield compose_swap13(broadband_uzzz(v, kappa, 88.0, n, sparse))
-    yield refocus_offsets(compose_swap13(build_uzzz("C", 0.0, 88.0)))
+                    call = f"broadband_uzzz({v!r}, {kappa}, n={n}, sparse_pi={sparse})"
+                    yield call, broadband_uzzz(v, kappa, 88.0, n, sparse)
+                    yield f"compose_swap13({call})", compose_swap13(broadband_uzzz(v, kappa, 88.0, n, sparse))
+    yield ("refocus_offsets(compose_swap13(build_uzzz('C', 0.0)))",
+           refocus_offsets(compose_swap13(build_uzzz("C", 0.0, 88.0))))
+    # the refocused SWAPs map nested parts
+    for v in "ABC":
+        yield (f"refocus_offsets(compose_swap13(build_uzzz({v!r}, 0.7)))",
+               refocus_offsets(compose_swap13(build_uzzz(v, 0.7, 88.0))))
+    for sparse in (False, True):
+        yield (f"refocus_offsets(compose_swap13(broadband_uzzz('D', 0.7, n=16, sparse_pi={sparse})))",
+               refocus_offsets(compose_swap13(broadband_uzzz("D", 0.7, 88.0, 16, sparse))))
+
+
+def _assert_pinned(column: int, digest_of):
+    """Fails naming each builder output whose label differs from builder_pins.LABELS,
+    or whose label-free digest_of differs from its builder_pins.DIGESTS column."""
+    outputs = dict(_builder_outputs())
+    assert list(outputs) == list(builder_pins.LABELS) == list(builder_pins.DIGESTS)
+    moved = [f"{name}: label {p.label!r}" for name, p in outputs.items() if p.label != builder_pins.LABELS[name]]
+    for name, p in outputs.items():
+        digest = hashlib.sha256(digest_of(replace(p, label="")).encode()).hexdigest()[:16]
+        if digest != builder_pins.DIGESTS[name][column]:
+            moved.append(f"{name}: digest {digest}")
+    assert not moved, "moved from builder_pins:\n" + "\n".join(moved)
+
+
+def _text_and_parsed(p) -> str:
+    text = serialize_program(p)
+    return text + repr(parse_program(text))
 
 
 def test_text_and_parsed_programs_of_every_builder_are_pinned():
     # captured from the serializer and parser that formatted and parsed every line
-    digest = hashlib.sha256()
-    for p in _builder_outputs():
-        text = serialize_program(p)
-        digest.update(text.encode())
-        digest.update(repr(parse_program(text)).encode())
-    assert digest.hexdigest() == "13199c675f187da24959dede587f515beec07bd8be1479a0830cfdf8f39c747e"
+    _assert_pinned(0, _text_and_parsed)
 
 
 def test_repr_and_text_of_every_builder_output_are_pinned():
-    # captured before joins nested; the refocused SWAPs map nested parts
-    extra = [refocus_offsets(compose_swap13(build_uzzz(v, 0.7, 88.0))) for v in "ABC"]
-    extra += [refocus_offsets(compose_swap13(broadband_uzzz("D", 0.7, 88.0, 16, s)))
-              for s in (False, True)]
-    digest = hashlib.sha256()
-    for p in [*_builder_outputs(), *extra]:
-        digest.update(repr(p).encode())
-        digest.update(serialize_program(p).encode())
-    assert digest.hexdigest() == "5f6c9dde39402daac84e4ead5662b041a7c6ecbe1711c51826de8479d6ed9b58"
+    # captured before joins nested
+    _assert_pinned(1, lambda p: repr(p) + serialize_program(p))
 
 
 @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
